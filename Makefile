@@ -6,7 +6,7 @@
 TMP := /tmp/repro-make
 BIN := $(TMP)/bin
 
-.PHONY: check build test vet lint verify fuzz-short smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke clean
+.PHONY: check build test vet lint verify fuzz-short smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke results clean
 
 check: vet lint build test fuzz-short verify smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
 
@@ -149,6 +149,13 @@ bench-smoke: $(BIN)/perfgate
 	rm -rf $(TMP)/bench-smoke && mkdir -p $(TMP)/bench-smoke
 	$(BIN)/perfgate -dir $(TMP)/bench-smoke -benchtime 1x -bench 'sim/'
 	@echo "bench smoke ok: sim microbenches ran, alloc budget held"
+
+# Regenerate RESULTS.txt: every experiment's text output with the
+# wall-clock timings stripped, so the file is a pure function of the
+# code. Not part of check (a full run takes ~25 s).
+results: $(BIN)/repro
+	$(BIN)/repro -run all -timing=false > $(TMP)/RESULTS.txt
+	mv $(TMP)/RESULTS.txt RESULTS.txt
 
 clean:
 	rm -rf $(TMP) /tmp/repro-smoke
