@@ -41,7 +41,7 @@ func main() {
 		"size", "D16 miss", "CPI", "words/cyc", "DLXe miss", "CPI", "words/cyc")
 
 	measure := func(spec *isa.Spec) ([]*cache.System, *core.Measurement) {
-		systems, err := lab.CacheSweep(b, spec, cfgs)
+		sweep, err := lab.CacheSweep(b, spec, cfgs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return systems, m
+		return sweep.Caches, m
 	}
 	sysD, mD := measure(isa.D16())
 	sysX, mX := measure(isa.DLXe())

@@ -69,8 +69,5 @@ func main() {
 }
 
 func reqs(m *core.Measurement, busBytes uint32) int64 {
-	if busBytes == 8 {
-		return m.Bus64.IRequests
-	}
-	return m.Bus32.IRequests
+	return m.Bus(busBytes).IRequests
 }

@@ -2,11 +2,16 @@
 // assembler, simulator and memory-system models together into the
 // measurement pipeline the paper's experiments are built on.
 //
-// The central type is Lab, a memoizing measurement harness: it compiles a
-// benchmark for a target configuration once, runs it once with every
-// standard observer attached (fetch-buffer models for both bus widths and
-// the immediate-field classifier), and caches the result, so each of the
-// paper's tables and figures re-reads the same underlying run.
+// The central type is Lab, a memoizing measurement harness. It compiles
+// a benchmark for a target configuration once, and every simulation goes
+// through one run path: a request names its kind and an Observe set
+// (fetch-bus models, the immediate-field classifier, cache systems,
+// pipeline engines), is content-addressed over the program image and
+// those observers, executes once with all of them attached, and returns
+// a Measurement. The kind-specific methods (Measure, CacheSweep,
+// PipelineRun, Account, BusProfileTicket) are one-line views of that
+// path, as the paper reads every memory-system result off one execution
+// through different timing models.
 package core
 
 import (
@@ -28,8 +33,11 @@ import (
 	"repro/internal/verify"
 )
 
-// Measurement is the full result of compiling and running one benchmark
-// under one target configuration.
+// Measurement is the result of every run request: one benchmark
+// compiled for one target configuration and executed once, seen through
+// the observers the request attached. The static measures, the output
+// and the execution statistics are always filled; Buses, Imm, Caches,
+// Engines and Syms only when the request asked for them.
 type Measurement struct {
 	Bench string
 	Spec  *isa.Spec
@@ -46,24 +54,40 @@ type Measurement struct {
 	Output string
 	Stats  sim.Stats
 
-	// Cacheless memory-interface models (Appendix A.2).
-	Bus32 *memsys.NoCache // 32-bit fetch bus
-	Bus64 *memsys.NoCache // 64-bit fetch bus
+	// Cacheless memory-interface models (Appendix A.2), one per
+	// requested fetch-bus width, in request order.
+	Buses []*memsys.NoCache
 
 	// Immediate-field classification (Table 4).
 	Imm ImmStats
 
+	// Split I/D cache systems, one per requested geometry.
+	Caches []*cache.System
+
+	// Cycle-level pipeline engines, one per requested memory
+	// configuration; Syms folds their per-PC attribution per function
+	// when the request enabled it.
+	Engines []*pipeline.Engine
+	Syms    *sim.SymTable
+
 	Image *prog.Image
+}
+
+// Bus returns the cacheless model of the given fetch-bus width (bytes),
+// or nil when the run did not observe that width.
+func (m *Measurement) Bus(busBytes uint32) *memsys.NoCache {
+	for _, b := range m.Buses {
+		if b.BusBytes == busBytes {
+			return b
+		}
+	}
+	return nil
 }
 
 // Cycles evaluates total cycles for a cacheless machine with the given
 // fetch-bus width (bytes) and wait states.
 func (m *Measurement) Cycles(busBytes uint32, waitStates int64) int64 {
-	bus := m.Bus32
-	if busBytes == 8 {
-		bus = m.Bus64
-	}
-	return bus.Cycles(m.Stats.Instrs, m.Stats.Interlocks, waitStates)
+	return m.Bus(busBytes).Cycles(m.Stats.Instrs, m.Stats.Interlocks, waitStates)
 }
 
 // CPI is cycles per (own) instruction for the cacheless machine.
@@ -132,14 +156,14 @@ func (s *ImmStats) Store(addr uint32, size uint32) {}
 //
 // Memoization is two-layered. Compiles are memoized per benchmark×ISA
 // in one-shot flights. Runs live in the scheduler's content-addressed
-// result cache, keyed by a hash of the program image plus the simulated
-// memory configuration, so repeated submissions — including ones
-// arriving over the batch HTTP API — are served without re-simulating.
+// result cache, keyed by a hash of the program image plus the request's
+// observers, so repeated submissions — including ones arriving over the
+// batch HTTP API — are served without re-simulating.
 type Lab struct {
 	sched *jobs.Scheduler
 	mu    sync.Mutex
 	comp  map[string]*flight[*mcc.Compiled]
-	runs  map[string]*Measurement // by bench|spec, for enumeration
+	runs  map[string]*Measurement // measure results by bench|spec, for enumeration
 	errs  map[string]error        // failed measure runs, by bench|spec
 }
 
@@ -215,18 +239,91 @@ func hashImage(h *jobs.Hasher, img *prog.Image) *jobs.Hasher {
 		Int(int64(img.BSS)).Bytes(img.Text).Bytes(img.Data)
 }
 
-// measureKey is the content address of one standard measurement run:
-// the program image, the run budget, and the identity labels the
-// resulting Measurement embeds.
-func measureKey(b *bench.Benchmark, spec *isa.Spec, img *prog.Image) jobs.Key {
-	h := jobs.NewHasher("measure").String(b.Name).String(spec.Name).Int(b.MaxInstrs)
-	return hashImage(h, img).Key()
+// Observe selects the observers one run request attaches to its single
+// execution. Every field is part of the request's content address.
+type Observe struct {
+	Buses   []uint32        // cacheless fetch-bus widths (memsys.NoCache)
+	Imm     bool            // the immediate-field classifier
+	Caches  []cache.Config  // split I/D cache systems, one geometry for both sides
+	Engines []AccountConfig // cycle-level pipeline engines
+	PerPC   bool            // per-PC attribution on every engine, plus the symbol table
 }
+
+// AccountConfig describes one pipeline engine's memory configuration by
+// value (so it can key the result cache); CacheBytes > 0 selects the
+// cached interface with the paper's cache organization.
+type AccountConfig struct {
+	BusBytes    uint32
+	WaitStates  int64
+	SharedPort  bool
+	CacheBytes  uint32
+	MissPenalty int64
+}
+
+// measureKind names the standard measurement, the only request kind
+// whose results are memoized for Measurements, Summary and Points.
+const measureKind = "measure"
+
+// standard is the standard measurement's observer set: both fetch-bus
+// widths and the immediate-field classifier.
+var standard = Observe{Buses: []uint32{4, 8}, Imm: true}
 
 // Measure compiles and runs one benchmark under one configuration (with
 // memoization), attaching the standard observers.
 func (l *Lab) Measure(b *bench.Benchmark, spec *isa.Spec) (*Measurement, error) {
-	t, err := l.MeasureTicket(context.Background(), b, spec)
+	return wait(l.MeasureTicket(context.Background(), b, spec))
+}
+
+// MeasureTicket submits the measurement as a job and returns its
+// ticket without waiting, so callers can fan a set of points out across
+// the lab's workers and collect them in a deterministic order. A full
+// queue blocks until space frees or ctx ends.
+func (l *Lab) MeasureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec) (*jobs.Ticket, error) {
+	return l.run(ctx, measureKind, b, spec, standard, false)
+}
+
+// TryMeasureTicket is MeasureTicket with fail-fast backpressure: a full
+// queue returns jobs.ErrOverloaded instead of blocking (servers map it
+// to 503).
+func (l *Lab) TryMeasureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec) (*jobs.Ticket, error) {
+	return l.run(ctx, measureKind, b, spec, standard, true)
+}
+
+// CacheSweep runs one benchmark with a split I/D cache system per
+// geometry, all attached to a single execution (Measurement.Caches).
+func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config) (*Measurement, error) {
+	return wait(l.run(context.Background(), "cache-sweep", b, spec, Observe{Caches: cfgs}, false))
+}
+
+// PipelineRun runs one benchmark under the event-driven cycle-level
+// pipeline model, one engine per memory configuration, all attached to
+// a single execution (Measurement.Engines).
+func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*Measurement, error) {
+	return wait(l.run(context.Background(), "pipeline-run", b, spec, Observe{Engines: cfgs}, false))
+}
+
+// Account is PipelineRun with per-PC cycle attribution on every engine
+// and the image's symbol table to fold it per function.
+func (l *Lab) Account(b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*Measurement, error) {
+	return wait(l.AccountTicket(context.Background(), b, spec, cfgs))
+}
+
+// AccountTicket submits an accounted run without waiting — the fan-out
+// form of Account, used by the sweep engine for cached-memory cells.
+func (l *Lab) AccountTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*jobs.Ticket, error) {
+	return l.run(ctx, "account-run", b, spec, Observe{Engines: cfgs, PerPC: true}, false)
+}
+
+// BusProfileTicket submits one execution observed through cacheless
+// models of several bus widths at once, from which PointsOver expands
+// any wait-state grid: a sweep's B-bus × W-wait-state grid costs one
+// run, not B×W.
+func (l *Lab) BusProfileTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, buses []uint32) (*jobs.Ticket, error) {
+	return l.run(ctx, "bus-profile", b, spec, Observe{Buses: buses}, false)
+}
+
+// wait is the synchronous form of a submitted run.
+func wait(t *jobs.Ticket, err error) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -237,63 +334,83 @@ func (l *Lab) Measure(b *bench.Benchmark, spec *isa.Spec) (*Measurement, error) 
 	return v.(*Measurement), nil
 }
 
-// MeasureTicket submits the measurement as a job and returns its
-// ticket without waiting, so callers can fan a set of points out across
-// the lab's workers and collect them in a deterministic order. A full
-// queue blocks until space frees or ctx ends.
-func (l *Lab) MeasureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec) (*jobs.Ticket, error) {
-	return l.measureTicket(ctx, b, spec, false)
-}
-
-// TryMeasureTicket is MeasureTicket with fail-fast backpressure: a full
-// queue returns jobs.ErrOverloaded instead of blocking (servers map it
-// to 503).
-func (l *Lab) TryMeasureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec) (*jobs.Ticket, error) {
-	return l.measureTicket(ctx, b, spec, true)
-}
-
-func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, try bool) (*jobs.Ticket, error) {
+// run submits one request: a single execution of b on spec carrying the
+// observers o, named and traced as kind, and served from the
+// scheduler's content-addressed cache when an identical request already
+// ran. try selects fail-fast backpressure (jobs.ErrOverloaded) over
+// blocking on a full queue.
+func (l *Lab) run(ctx context.Context, kind string, b *bench.Benchmark, spec *isa.Spec, o Observe, try bool) (*jobs.Ticket, error) {
 	c, err := l.Compile(b, spec)
 	if err != nil {
 		return nil, err
 	}
 	k := key(b, spec)
-	l.mu.Lock()
-	err = l.errs[k]
-	l.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if kind == measureKind {
+		l.mu.Lock()
+		err = l.errs[k]
+		l.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
-	job := jobs.Job{
-		Name: "measure " + k,
-		Key:  measureKey(b, spec, c.Image),
+	submit := l.sched.Submit
+	if try {
+		submit = l.sched.TrySubmit
+	}
+	return submit(ctx, jobs.Job{
+		Name: kind + " " + k,
+		Key:  runKey(kind, b, spec, o, c.Image),
 		Fn: func(context.Context) (any, error) {
-			m, err := l.runMeasure(b, spec, c)
-			l.mu.Lock()
+			m, err := execute(kind, b, spec, c, o)
 			if err != nil {
-				l.errs[k] = err
-			} else {
-				l.runs[k] = m
+				err = fmt.Errorf("core: %s %s on %s: %w", kind, b.Name, spec, err)
 			}
-			l.mu.Unlock()
+			if kind == measureKind {
+				l.mu.Lock()
+				if err != nil {
+					l.errs[k] = err
+				} else {
+					l.runs[k] = m
+				}
+				l.mu.Unlock()
+			}
 			if err != nil {
 				return nil, err
 			}
 			return m, nil
 		},
-	}
-	if try {
-		return l.sched.TrySubmit(ctx, job)
-	}
-	return l.sched.Submit(ctx, job)
+	})
 }
 
-// runMeasure executes one compiled benchmark with the standard
-// observers attached. It holds no lab locks: concurrent runs of
-// distinct points are the scheduler's normal mode.
-func (l *Lab) runMeasure(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled) (*Measurement, error) {
-	span := telemetry.StartSpan("measure",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
+// runKey is the content address of one request: its kind, the identity
+// labels the Measurement embeds, the run budget, every observer and the
+// program image. Each list is length-prefixed so no two requests of a
+// kind share a byte stream.
+func runKey(kind string, b *bench.Benchmark, spec *isa.Spec, o Observe, img *prog.Image) jobs.Key {
+	h := jobs.NewHasher(kind).String(b.Name).String(spec.Name).Int(b.MaxInstrs).
+		Bool(o.Imm).Bool(o.PerPC).Int(int64(len(o.Buses)))
+	for _, w := range o.Buses {
+		h.Int(int64(w))
+	}
+	h.Int(int64(len(o.Caches)))
+	for _, c := range o.Caches {
+		h.Int(int64(c.Size)).Int(int64(c.BlockBytes)).Int(int64(c.SubBytes)).Int(int64(c.Assoc)).
+			Bool(c.WriteThrough).Bool(c.NoWriteAllocate).Bool(c.NoPrefetch)
+	}
+	h.Int(int64(len(o.Engines)))
+	for _, e := range o.Engines {
+		h.Int(int64(e.BusBytes)).Int(e.WaitStates).Bool(e.SharedPort).Int(int64(e.CacheBytes)).Int(e.MissPenalty)
+	}
+	return hashImage(h, img).Key()
+}
+
+// execute is the job body of every request: it runs c once under a
+// kind-named span with o's observers attached in a fixed order (buses,
+// immediate classifier, caches, engines). It holds no lab locks:
+// concurrent runs of distinct points are the scheduler's normal mode.
+func execute(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, o Observe) (*Measurement, error) {
+	attrs := []telemetry.Attr{telemetry.String("bench", b.Name), telemetry.String("config", spec.Name)}
+	span := telemetry.StartSpan(kind, attrs...)
 	defer span.End()
 	machine, err := sim.Acquire(c.Image)
 	if err != nil {
@@ -309,235 +426,55 @@ func (l *Lab) runMeasure(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled) (*
 		PoolBytes:    c.Image.PoolBytes,
 		StaticInstrs: c.Image.TextInstrs,
 		Spills:       c.Spills,
-		Bus32:        memsys.NewNoCache(4),
-		Bus64:        memsys.NewNoCache(8),
 		Image:        c.Image,
 	}
-	machine.Attach(m.Bus32)
-	machine.Attach(m.Bus64)
-	machine.Attach(&m.Imm)
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s on %s: %w", b.Name, spec, err)
+	for _, w := range o.Buses {
+		bus := memsys.NewNoCache(w)
+		m.Buses = append(m.Buses, bus)
+		machine.Attach(bus)
 	}
-	m.Output = machine.Output.String()
-	m.Stats = machine.Stats
-	if b.Expect != "" && m.Output != b.Expect {
-		return nil, fmt.Errorf("core: %s on %s: output %q, want %q",
-			b.Name, spec, m.Output, b.Expect)
+	if o.Imm {
+		machine.Attach(&m.Imm)
 	}
-	return m, nil
-}
-
-// CacheSweep runs one benchmark under one configuration with a split I/D
-// cache system per geometry, all attached to a single execution. Results
-// are served from the scheduler's content-addressed cache, keyed by the
-// program image and the geometry set.
-func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config) ([]*cache.System, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
-	h := jobs.NewHasher("cache-sweep").Int(b.MaxInstrs)
-	for _, cfg := range cfgs {
-		h.Int(int64(cfg.Size)).Int(int64(cfg.BlockBytes)).Int(int64(cfg.SubBytes))
-	}
-	hashImage(h, c.Image)
-	v, err := l.sched.Do(context.Background(), jobs.Job{
-		Name: "cache-sweep " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runCacheSweep(b, spec, c, cfgs)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*cache.System), nil
-}
-
-func (l *Lab) runCacheSweep(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, cfgs []cache.Config) ([]*cache.System, error) {
-	span := telemetry.StartSpan("cache-sweep",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name),
-		telemetry.String("geometries", fmt.Sprintf("%d", len(cfgs))))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	var systems []*cache.System
-	for _, cfg := range cfgs {
+	for _, cfg := range o.Caches {
 		sys, err := cache.NewSystem(cfg, cfg)
 		if err != nil {
 			return nil, err
 		}
-		systems = append(systems, sys)
+		m.Caches = append(m.Caches, sys)
 		machine.Attach(sys)
 	}
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: cache sweep %s on %s: %w", b.Name, spec, err)
-	}
-	return systems, nil
-}
-
-// PipelineRun executes one benchmark under the event-driven cycle-level
-// pipeline model (one engine per memory configuration, all attached to a
-// single execution). Results are served from the scheduler's
-// content-addressed cache; the configurations must be cacheless (a
-// pipeline.Config carrying its own cache.System is not hashable).
-func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []pipeline.Config) ([]*pipeline.Engine, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
-	h := jobs.NewHasher("pipeline-run").Int(b.MaxInstrs)
-	for _, cfg := range cfgs {
-		h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).Int(cfg.MissPenalty)
-	}
-	hashImage(h, c.Image)
-	v, err := l.sched.Do(context.Background(), jobs.Job{
-		Name: "pipeline-run " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runPipeline(b, spec, c, cfgs)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*pipeline.Engine), nil
-}
-
-func (l *Lab) runPipeline(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, cfgs []pipeline.Config) ([]*pipeline.Engine, error) {
-	span := telemetry.StartSpan("pipeline-run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	var engines []*pipeline.Engine
-	for _, cfg := range cfgs {
-		e := pipeline.New(cfg)
-		engines = append(engines, e)
-		machine.Attach(e)
-	}
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: pipeline run %s on %s: %w", b.Name, spec, err)
-	}
-	return engines, nil
-}
-
-// AccountRun is one cycle-accounted execution: engines with per-PC
-// attribution enabled (one per requested memory configuration, all fed
-// by a single run) plus the symbol table to fold attributions per
-// function.
-type AccountRun struct {
-	Engines []*pipeline.Engine
-	Syms    *sim.SymTable
-}
-
-// Account executes one benchmark with cycle-accounting engines attached
-// (per-PC attribution on) and returns them with the image's symbol
-// table. Results are served from the scheduler's content-addressed
-// cache, keyed by the program image and the config set; cached
-// configurations build a fresh cache.System per engine from CacheBytes.
-func (l *Lab) Account(b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*AccountRun, error) {
-	t, err := l.AccountTicket(context.Background(), b, spec, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	v, err := t.Wait(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return v.(*AccountRun), nil
-}
-
-// AccountTicket submits the accounted run as a job and returns its
-// ticket without waiting — the fan-out form of Account, used by the
-// sweep engine for cached-memory grid cells.
-func (l *Lab) AccountTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*jobs.Ticket, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
-	h := jobs.NewHasher("account-run").Int(b.MaxInstrs)
-	for _, cfg := range cfgs {
-		h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).
-			Int(int64(cfg.CacheBytes)).Int(cfg.MissPenalty)
-	}
-	hashImage(h, c.Image)
-	return l.sched.Submit(ctx, jobs.Job{
-		Name: "account-run " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runAccount(b, spec, c, cfgs)
-		},
-	})
-}
-
-func (l *Lab) runAccount(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, cfgs []AccountConfig) (*AccountRun, error) {
-	span := telemetry.StartSpan("account-run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	run := &AccountRun{Syms: sim.NewSymTable(c.Image)}
-	for _, ac := range cfgs {
-		pc := pipeline.Config{
-			BusBytes:    ac.BusBytes,
-			WaitStates:  ac.WaitStates,
-			SharedPort:  ac.SharedPort,
-			MissPenalty: ac.MissPenalty,
-		}
-		if ac.CacheBytes > 0 {
-			sys, err := cache.NewSystem(cache.PaperConfig(ac.CacheBytes), cache.PaperConfig(ac.CacheBytes))
-			if err != nil {
+	for _, ec := range o.Engines {
+		pc := pipeline.Config{BusBytes: ec.BusBytes, WaitStates: ec.WaitStates,
+			SharedPort: ec.SharedPort, MissPenalty: ec.MissPenalty}
+		if ec.CacheBytes > 0 {
+			cfg := cache.PaperConfig(ec.CacheBytes)
+			if pc.Caches, err = cache.NewSystem(cfg, cfg); err != nil {
 				return nil, err
 			}
-			pc.Caches = sys
 		}
 		e := pipeline.New(pc)
-		e.EnablePCAccounting()
-		run.Engines = append(run.Engines, e)
+		if o.PerPC {
+			e.EnablePCAccounting()
+		}
+		m.Engines = append(m.Engines, e)
 		machine.Attach(e)
 	}
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
+	if o.PerPC {
+		m.Syms = sim.NewSymTable(c.Image)
+	}
+	rspan := telemetry.StartSpan("run", attrs...)
 	err = machine.Run(b.MaxInstrs)
 	rspan.End()
 	if err != nil {
-		return nil, fmt.Errorf("core: account run %s on %s: %w", b.Name, spec, err)
+		return nil, err
 	}
-	return run, nil
-}
-
-// AccountConfig describes one accounted memory configuration by value
-// (so it can key the memoization map); CacheBytes > 0 selects the
-// cached interface with the paper's cache organization.
-type AccountConfig struct {
-	BusBytes    uint32
-	WaitStates  int64
-	SharedPort  bool
-	CacheBytes  uint32
-	MissPenalty int64
+	m.Output = machine.Output.String()
+	m.Stats = machine.Stats
+	if b.Expect != "" && m.Output != b.Expect {
+		return nil, fmt.Errorf("output %q, want %q", m.Output, b.Expect)
+	}
+	return m, nil
 }
 
 // Measurements returns every memoized measurement, sorted by benchmark
@@ -629,8 +566,9 @@ func (m *Measurement) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+"instrs", func() int64 { return stats.Instrs })
 	reg.RegisterFunc(prefix+"interlocks", func() int64 { return stats.Interlocks })
 	reg.RegisterFunc(prefix+"data_ops", stats.DataOps)
-	m.Bus32.Register(reg, prefix+"bus32.")
-	m.Bus64.Register(reg, prefix+"bus64.")
+	for _, bus := range m.Buses {
+		bus.Register(reg, fmt.Sprintf("%sbus%d.", prefix, 8*bus.BusBytes))
+	}
 }
 
 // Suite returns the benchmark suite (re-exported for callers that only

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/pipeline"
 )
 
 func TestMeasureMemoizes(t *testing.T) {
@@ -53,10 +52,10 @@ func TestMeasurementModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// On DLXe with a 32-bit bus every instruction is one fetch request.
-	if m.Bus32.IRequests != m.Stats.Instrs {
-		t.Errorf("32-bit-bus DLXe fetches %d != instrs %d", m.Bus32.IRequests, m.Stats.Instrs)
+	if m.Bus(4).IRequests != m.Stats.Instrs {
+		t.Errorf("32-bit-bus DLXe fetches %d != instrs %d", m.Bus(4).IRequests, m.Stats.Instrs)
 	}
-	if m.Bus64.IRequests >= m.Bus32.IRequests {
+	if m.Bus(8).IRequests >= m.Bus(4).IRequests {
 		t.Error("wider bus should issue fewer fetch requests")
 	}
 	// Zero-wait CPI is 1 + interlock rate.
@@ -73,18 +72,19 @@ func TestCacheSweepMemoizes(t *testing.T) {
 	lab := NewLab()
 	b := bench.ByName("ackermann")
 	cfgs := []cache.Config{cache.PaperConfig(1024), cache.PaperConfig(2048)}
-	s1, err := lab.CacheSweep(b, isa.D16(), cfgs)
+	m1, err := lab.CacheSweep(b, isa.D16(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1 := m1.Caches
 	if len(s1) != 2 {
 		t.Fatalf("%d systems, want 2", len(s1))
 	}
-	s2, err := lab.CacheSweep(b, isa.D16(), cfgs)
+	m2, err := lab.CacheSweep(b, isa.D16(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &s1[0] == &s2[0] && s1[0] != s2[0] {
+	if m1 != m2 {
 		t.Error("sweep not memoized")
 	}
 	if s1[0].I.Stats.Reads == 0 {
@@ -99,13 +99,14 @@ func TestCacheSweepMemoizes(t *testing.T) {
 func TestPipelineRun(t *testing.T) {
 	lab := NewLab()
 	b := bench.ByName("ackermann")
-	engines, err := lab.PipelineRun(b, isa.D16(), []pipeline.Config{
+	run, err := lab.PipelineRun(b, isa.D16(), []AccountConfig{
 		{BusBytes: 4, WaitStates: 0},
 		{BusBytes: 4, WaitStates: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	engines := run.Engines
 	if engines[1].Cycles() <= engines[0].Cycles() {
 		t.Error("wait states must cost cycles")
 	}

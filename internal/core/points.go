@@ -4,8 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/isa"
-	"repro/internal/mcc"
-	"repro/internal/memsys"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
@@ -29,18 +27,19 @@ func ConfigByName(name string) *isa.Spec {
 	return nil
 }
 
-// AccountPoint converts one cycle-accounted engine run into a store
-// point: bucket-for-bucket from the engine's attribution (so the
-// store's sum==cycles invariant holds by construction) under the
-// identity (bench, config, bus, waits, cachekb). Unlike
-// Measurement.Points, which expands the closed-form Appendix A model,
-// the point carries measured pipeline behaviour — including port
-// contention and cache misses — which is what lets cached-memory
-// configurations (CacheKB > 0) land in points.mcst at all.
-func AccountPoint(benchName, cfgName string, c *mcc.Compiled, e *pipeline.Engine, ac AccountConfig) store.Point {
+// AccountPoint converts engine i of an accounted run, configured as ac,
+// into a store point: bucket-for-bucket from the engine's attribution
+// (so the store's sum==cycles invariant holds by construction) under
+// the identity (bench, config, bus, waits, cachekb). Unlike PointsOver,
+// which expands the closed-form Appendix A model, the point carries
+// measured pipeline behaviour — including port contention and cache
+// misses — which is what lets cached-memory configurations (CacheKB > 0)
+// land in points.mcst at all.
+func (m *Measurement) AccountPoint(i int, ac AccountConfig) store.Point {
+	e := m.Engines[i]
 	p := store.Point{
-		Bench:        benchName,
-		Config:       cfgName,
+		Bench:        m.Bench,
+		Config:       m.Spec.Name,
 		BusBytes:     int64(ac.BusBytes),
 		WaitStates:   ac.WaitStates,
 		CacheKB:      int64(ac.CacheBytes / 1024),
@@ -48,9 +47,9 @@ func AccountPoint(benchName, cfgName string, c *mcc.Compiled, e *pipeline.Engine
 		Instrs:       e.Instrs,
 		IFetchBytes:  e.FetchBytes(),
 		DMemBytes:    e.DataRequests * 4,
-		SizeBytes:    int64(c.Image.Size()),
-		TextBytes:    int64(len(c.Image.Text)),
-		StaticInstrs: int64(c.Image.TextInstrs),
+		SizeBytes:    int64(m.Size),
+		TextBytes:    int64(m.TextBytes),
+		StaticInstrs: int64(m.StaticInstrs),
 	}
 	bd := e.Breakdown()
 	for b := 0; b < pipeline.NumBuckets; b++ {
@@ -59,21 +58,25 @@ func AccountPoint(benchName, cfgName string, c *mcc.Compiled, e *pipeline.Engine
 	return p
 }
 
-// pointWaitStates is the wait-state grid a measurement expands into —
-// the same ℓ = 0..3 range SummaryRow reports CPI over.
-const pointWaitStates = 4
+// pointWaits is the wait-state grid Points expands over — the same
+// ℓ = 0..3 range SummaryRow reports CPI over.
+var pointWaits = []int64{0, 1, 2, 3}
 
-// Points expands one measurement into its columnar store points: one
-// point per cacheless memory interface (32- and 64-bit fetch bus) per
-// wait-state count. The cycle attribution follows the Appendix A model
-// exactly — useful issue cycles (one per instruction), interlock stalls
-// in the load-delay bucket, and wait-state cycles split between the
+// Points is the measurement's canonical point set: PointsOver the
+// ℓ = 0..3 wait-state grid.
+func (m *Measurement) Points() []store.Point { return m.PointsOver(pointWaits) }
+
+// PointsOver expands the run's cacheless bus models into columnar store
+// points: one point per observed fetch-bus width per wait-state count.
+// The cycle attribution follows the Appendix A model exactly — useful
+// issue cycles (one per instruction), interlock stalls in the
+// load-delay bucket, and wait-state cycles split between the
 // instruction- and data-side requests — so the bucket sum reconstructs
 // Cycles() and store.Validate's invariant holds by construction.
-func (m *Measurement) Points() []store.Point {
-	out := make([]store.Point, 0, 2*pointWaitStates)
-	for _, bus := range []*memsys.NoCache{m.Bus32, m.Bus64} {
-		for w := int64(0); w < pointWaitStates; w++ {
+func (m *Measurement) PointsOver(waits []int64) []store.Point {
+	out := make([]store.Point, 0, len(m.Buses)*len(waits))
+	for _, bus := range m.Buses {
+		for _, w := range waits {
 			p := store.Point{
 				Bench:        m.Bench,
 				Config:       m.Spec.Name,

@@ -106,11 +106,7 @@ func ablateCache(c *Ctx) error {
 	}
 	names := []string{"direct-mapped", "2-way", "4-way", "direct, write-through"}
 	for _, b := range bench.CacheBenchmarks() {
-		d16, err := c.Lab.CacheSweep(b, cfgD16, cfgs)
-		if err != nil {
-			return err
-		}
-		dlxe, err := c.Lab.CacheSweep(b, cfgX323, cfgs)
+		d16, dlxe, err := c.cacheSweepBoth(b, cfgs)
 		if err != nil {
 			return err
 		}

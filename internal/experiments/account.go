@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
 
@@ -81,17 +80,7 @@ func accountBenches(c *Ctx, benches []*bench.Benchmark) error {
 		// reach points.mcst. Cacheless engine points are NOT persisted —
 		// they would collide by key with the closed-form grid's cells
 		// under a different cycle model.
-		for _, side := range []struct {
-			spec *isa.Spec
-			run  *core.AccountRun
-		}{{cfgD16, d16}, {cfgX323, dlxe}} {
-			comp, err := c.Lab.Compile(b, side.spec)
-			if err != nil {
-				return err
-			}
-			c.Points = append(c.Points,
-				core.AccountPoint(b.Name, side.spec.Name, comp, side.run.Engines[1], cfgs[1]))
-		}
+		c.Points = append(c.Points, d16.AccountPoint(1, cfgs[1]), dlxe.AccountPoint(1, cfgs[1]))
 		totals = append(totals, accountTotal{
 			bench:     b.Name,
 			d16Cyc:    d16.Engines[0].Cycles(),
@@ -128,7 +117,7 @@ type accountTotal struct {
 // accountDiff renders the per-function differential between the two
 // ISAs' cacheless accounted runs: where D16 spends its extra issue
 // cycles and where it wins them back in fetch traffic.
-func accountDiff(c *Ctx, benchName string, d16, dlxe *core.AccountRun) error {
+func accountDiff(c *Ctx, benchName string, d16, dlxe *core.Measurement) error {
 	type fn struct {
 		d16Cyc, dlxeCyc     int64
 		d16Bytes, dlxeBytes int64

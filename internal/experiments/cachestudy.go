@@ -44,13 +44,24 @@ func paperSweep() []cache.Config {
 	return cfgs
 }
 
+// cacheSweepBoth runs one cache sweep for one benchmark on both
+// encodings and returns the cache systems, one per geometry.
+func (c *Ctx) cacheSweepBoth(b *bench.Benchmark, cfgs []cache.Config) (d16, dlxe []*cache.System, err error) {
+	sd, err := c.Lab.CacheSweep(b, cfgD16, cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	sx, err := c.Lab.CacheSweep(b, cfgX323, cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sd.Caches, sx.Caches, nil
+}
+
 // sweepBoth runs the standard-geometry sweep for one benchmark on both
 // encodings.
 func (c *Ctx) sweepBoth(b *bench.Benchmark) (d16, dlxe []*cache.System, md, mx *core.Measurement, err error) {
-	if d16, err = c.Lab.CacheSweep(b, cfgD16, paperSweep()); err != nil {
-		return
-	}
-	if dlxe, err = c.Lab.CacheSweep(b, cfgX323, paperSweep()); err != nil {
+	if d16, dlxe, err = c.cacheSweepBoth(b, paperSweep()); err != nil {
 		return
 	}
 	if md, err = c.Lab.Measure(b, cfgD16); err != nil {
@@ -169,11 +180,7 @@ func tabMissRates(c *Ctx, name string) error {
 			cfgs = append(cfgs, cache.PaperConfigSub(s, bl))
 		}
 	}
-	d16, err := c.Lab.CacheSweep(b, cfgD16, cfgs)
-	if err != nil {
-		return err
-	}
-	dlxe, err := c.Lab.CacheSweep(b, cfgX323, cfgs)
+	d16, dlxe, err := c.cacheSweepBoth(b, cfgs)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"repro/internal/bench"
-	"repro/internal/pipeline"
+	"repro/internal/core"
 )
 
 // ablate-model validates the paper's footnote-2 claim: its closed-form
@@ -29,14 +29,14 @@ func ablateModel(c *Ctx) error {
 		}
 		c.printf("%s:\n", spec.name)
 		t := &table{header: []string{"program", "l=0", "l=1", "l=2", "l=3", "shared-port l=1"}}
-		var pcfgs []pipeline.Config
+		var pcfgs []core.AccountConfig
 		for _, l := range waits {
-			pcfgs = append(pcfgs, pipeline.Config{BusBytes: 4, WaitStates: l})
+			pcfgs = append(pcfgs, core.AccountConfig{BusBytes: 4, WaitStates: l})
 		}
-		pcfgs = append(pcfgs, pipeline.Config{BusBytes: 4, WaitStates: 1, SharedPort: true})
+		pcfgs = append(pcfgs, core.AccountConfig{BusBytes: 4, WaitStates: 1, SharedPort: true})
 		sums := make([]float64, len(pcfgs))
 		for _, b := range bench.All() {
-			engines, err := c.Lab.PipelineRun(b, cfg, pcfgs)
+			run, err := c.Lab.PipelineRun(b, cfg, pcfgs)
 			if err != nil {
 				return err
 			}
@@ -45,7 +45,7 @@ func ablateModel(c *Ctx) error {
 				return err
 			}
 			row := []string{b.Name}
-			for i, e := range engines {
+			for i, e := range run.Engines {
 				l := e.Cycles()
 				var formula int64
 				if i < len(waits) {

@@ -35,8 +35,8 @@ func figNoCacheCPI(c *Ctx) error {
 		return err
 	}
 	for _, bus := range []uint32{4, 8} {
-		kD := d16["queens"].Bus32.K(isa.EncD16)
-		kX := x32["queens"].Bus32.K(isa.EncDLXe)
+		kD := d16["queens"].Bus(4).K(isa.EncD16)
+		kX := x32["queens"].Bus(4).K(isa.EncDLXe)
 		if bus == 8 {
 			kD, kX = 2*kD, 2*kX
 		}
@@ -74,12 +74,8 @@ func figSaturation(c *Ctx) error {
 			var fx, fd []float64
 			for _, b := range bench.All() {
 				mx, md := x32[b.Name], d16[b.Name]
-				busX, busD := mx.Bus32, md.Bus32
-				if bus == 8 {
-					busX, busD = mx.Bus64, md.Bus64
-				}
-				fx = append(fx, busX.FetchesPerCycle(mx.Stats.Instrs, mx.Stats.Interlocks, l))
-				fd = append(fd, busD.FetchesPerCycle(md.Stats.Instrs, md.Stats.Interlocks, l))
+				fx = append(fx, mx.Bus(bus).FetchesPerCycle(mx.Stats.Instrs, mx.Stats.Interlocks, l))
+				fd = append(fd, md.Bus(bus).FetchesPerCycle(md.Stats.Instrs, md.Stats.Interlocks, l))
 			}
 			t.row(i64(l), f3(mean(fx)), f3(mean(fd)))
 		}

@@ -454,32 +454,23 @@ func drill(lab *core.Lab, q Query, sa, sb *Side, d Delta) (*Drill, error) {
 		ac.WaitStates = 0 // cached interface replaces flat wait states
 	}
 	dr := &Drill{PairKey: d.PairKey}
-	type sideRun struct {
-		spec *isa.Spec
-		run  *core.AccountRun
-		img  *prog.Image
-	}
-	var runs [2]sideRun
+	var runs [2]*core.Measurement
 	for i, s := range []*Side{sa, sb} {
-		comp, err := lab.Compile(b, s.Spec)
-		if err != nil {
-			return nil, err
-		}
 		run, err := lab.Account(b, s.Spec, []core.AccountConfig{ac})
 		if err != nil {
 			return nil, err
 		}
-		runs[i] = sideRun{spec: s.Spec, run: run, img: comp.Image}
+		runs[i] = run
 	}
-	eA, eB := runs[0].run.Engines[0], runs[1].run.Engines[0]
+	eA, eB := runs[0].Engines[0], runs[1].Engines[0]
 	dr.EngineA = engineSummary(sa.Config, eA)
 	dr.EngineB = engineSummary(sb.Config, eB)
-	dr.HeatA = heatRows(eA, runs[0].run.Syms, q.Rows)
-	dr.HeatB = heatRows(eB, runs[1].run.Syms, q.Rows)
-	dr.Func = hottestShared(eA, runs[0].run.Syms, eB, runs[1].run.Syms)
+	dr.HeatA = heatRows(eA, runs[0].Syms, q.Rows)
+	dr.HeatB = heatRows(eB, runs[1].Syms, q.Rows)
+	dr.Func = hottestShared(eA, runs[0].Syms, eB, runs[1].Syms)
 	if dr.Func != "" {
-		dr.DisA = disLines(runs[0].img, eA, dr.Func)
-		dr.DisB = disLines(runs[1].img, eB, dr.Func)
+		dr.DisA = disLines(runs[0].Image, eA, dr.Func)
+		dr.DisB = disLines(runs[1].Image, eB, dr.Func)
 	}
 	return dr, nil
 }

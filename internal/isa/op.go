@@ -209,15 +209,6 @@ func (op Op) IsFPU() bool {
 // status register rather than a register operand).
 func (op Op) IsFCmp() bool { return op == FCMPS || op == FCMPD }
 
-// Accesses64 reports whether op touches a full 64-bit FP register value.
-func (op Op) Accesses64() bool {
-	switch op {
-	case FADDD, FSUBD, FMULD, FDIVD, FNEGD, FCMPD, CVTSIDF, CVTDFSF, CVTDFSI, CVTSFDF:
-		return true
-	}
-	return false
-}
-
 // HasImmediate reports whether op carries an immediate operand by
 // definition (as opposed to ops that never do).
 func (op Op) HasImmediate() bool {

@@ -302,9 +302,6 @@ func (m *Machine) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+"expected_cycles", m.ExpectedCycles)
 }
 
-// Halted reports whether the program executed trap 0.
-func (m *Machine) Halted() bool { return m.halted }
-
 func (m *Machine) fault(format string, args ...any) error {
 	return &Fault{PC: m.PC, Msg: fmt.Sprintf(format, args...)}
 }

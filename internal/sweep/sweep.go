@@ -185,14 +185,14 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 		return nil, j.err
 	}
 	ctx := context.Background()
-	profiles := make([]*core.BusProfile, len(j.profile))
+	profiles := make([]*core.Measurement, len(j.profile))
 	for i, t := range j.profile {
 		v, err := t.Wait(ctx)
 		if err != nil {
 			j.stage, j.cfg, j.err = "run", spec.Configs[i].Name, err
 			return nil, err
 		}
-		profiles[i] = v.(*core.BusProfile)
+		profiles[i] = v.(*core.Measurement)
 	}
 	if err := r.staticGate(logw, spec, j, profiles); err != nil {
 		return nil, err
@@ -206,7 +206,7 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 	}
 	var pts []store.Point
 	for i, p := range profiles {
-		pts = append(pts, p.Points(spec.Waits)...)
+		pts = append(pts, p.PointsOver(spec.Waits)...)
 		if len(cells) == 0 {
 			continue
 		}
@@ -215,14 +215,9 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 			j.stage, j.cfg, j.err = "run", spec.Configs[i].Name, err
 			return nil, err
 		}
-		run := v.(*core.AccountRun)
-		c, err := r.Lab.Compile(j.bench, spec.Configs[i])
-		if err != nil {
-			j.stage, j.cfg, j.err = "compile", spec.Configs[i].Name, err
-			return nil, err
-		}
+		run := v.(*core.Measurement)
 		for ei, ac := range cells {
-			pts = append(pts, core.AccountPoint(j.bench.Name, spec.Configs[i].Name, c, run.Engines[ei], ac))
+			pts = append(pts, run.AccountPoint(ei, ac))
 		}
 	}
 	return pts, nil
@@ -237,7 +232,7 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 // sweep exists to surface; it fails the program at stage "static". The
 // per-program line keeps the log deterministic: everything in it is a
 // function of the program and config alone.
-func (r *Runner) staticGate(logw io.Writer, spec *Spec, j *job, profiles []*core.BusProfile) error {
+func (r *Runner) staticGate(logw io.Writer, spec *Spec, j *job, profiles []*core.Measurement) error {
 	for i, cfg := range spec.Configs {
 		c, err := r.Lab.Compile(j.bench, cfg)
 		if err != nil {
