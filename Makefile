@@ -1,14 +1,14 @@
 # Tier-1 gate: everything a PR must keep green (see ROADMAP.md).
 #
 # All scratch output lives under one temp root ($(TMP)); the CLIs used
-# by smoke/determinism/bench are built once into $(TMP)/bin via the
-# shared Go build cache instead of per-target `go run` compiles.
+# by the smoke and determinism targets are built once into $(TMP)/bin via
+# the shared Go build cache instead of per-target `go run` compiles.
 TMP := /tmp/repro-make
 BIN := $(TMP)/bin
 
-.PHONY: check build test vet lint verify fuzz-short smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke results clean
+.PHONY: check build test vet lint verify fuzz-short smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke results clean
 
-check: vet lint build test fuzz-short verify smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
+check: vet lint build test fuzz-short verify smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke
 
 vet:
 	go vet ./...
@@ -47,10 +47,6 @@ test:
 $(BIN)/repro: build
 	@mkdir -p $(BIN)
 	go build -o $@ ./cmd/repro
-
-$(BIN)/perfgate: build
-	@mkdir -p $(BIN)
-	go build -o $@ ./cmd/perfgate
 
 $(BIN)/simd: build
 	@mkdir -p $(BIN)
@@ -135,20 +131,6 @@ static-smoke: $(BIN)/repro
 # gracefully with SIGTERM.
 serve-smoke: $(BIN)/simd
 	@sh scripts/serve_smoke.sh $(BIN)/simd $(TMP)/serve-smoke
-
-# Continuous benchmarks: writes BENCH_<n>.json at the repo root and
-# fails on >10% regressions against the previous BENCH file.
-bench: $(BIN)/perfgate
-	$(BIN)/perfgate
-
-# Bench smoke: single-iteration pass over the simulator microbenches in
-# a scratch dir (no BENCH file at the repo root, no baseline compare).
-# Numbers are noise at 1x; the point is exercising the harness plus
-# sim/step's absolute allocs-per-instruction budget on every check.
-bench-smoke: $(BIN)/perfgate
-	rm -rf $(TMP)/bench-smoke && mkdir -p $(TMP)/bench-smoke
-	$(BIN)/perfgate -dir $(TMP)/bench-smoke -benchtime 1x -bench 'sim/'
-	@echo "bench smoke ok: sim microbenches ran, alloc budget held"
 
 # Regenerate RESULTS.txt: every experiment's text output with the
 # wall-clock timings stripped, so the file is a pure function of the

@@ -43,6 +43,11 @@
 //	                                # store a -json run wrote; the JSON
 //	                                # answer is byte-identical to simd's
 //	                                # GET /v1/query for the same filter
+//	repro -diff base.mcst,cur.mcst  # surface gate: diff two measurement
+//	                                # stores point by point, print the
+//	                                # worst movers per point and bucket,
+//	                                # exit 1 if any matched point's cycles
+//	                                # regressed more than 10%
 //	repro -explain 'a=D16/16/2 b=DLXe/32/3 bench=towers waits=1'
 //	                                # A/B drill-down: pair the two sides'
 //	                                # points (configs re-measured, .mcst
@@ -103,10 +108,23 @@ func main() {
 	storePath := flag.String("store", "", "measurement store file for -query and -sweep (default <dir>/points.mcst next to -json output, see docs/STORE.md)")
 	sweepSpec := flag.String("sweep", "", "full-factorial design-space sweep over a generated, verified synthetic corpus: key=value terms (classes, count, seed, progseed, isa, bus, waits, cachekb, misspenalty; see docs/SWEEP.md); writes the surface to -store")
 	failDir := flag.String("faildir", "", "artifact directory for sweep failures: minimized .mc source per failing program (default <dir>/sweep-failures)")
+	diffSpec := flag.String("diff", "", "surface gate: diff two measurement stores (baseline.mcst,current.mcst) and exit 1 if any matched point's cycles regressed more than 10% (see docs/STORE.md)")
 	flag.Parse()
 
 	if *listen != "" {
 		serveDebug(*listen)
+	}
+
+	if *diffSpec != "" {
+		regressed, err := runDiff(*diffSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			os.Exit(2)
+		}
+		if regressed > 0 {
+			os.Exit(1)
+		}
+		return
 	}
 
 	if *sweepSpec == "" && (*query != "" || *storePath != "") {

@@ -59,13 +59,13 @@ func (r *statusRecorder) WriteHeader(code int) {
 //     attached to the request context so the jobs scheduler stamps it
 //     into its execution spans and echoed in the X-Request-Id header,
 //   - request latency is observed into the http.request_latency_us
-//     fixed-bound histogram (p50/p90/p99 on /metrics),
+//     histogram (p50/p90/p99 on /metrics),
 //   - unless quiet, one structured key=value line per request goes to
 //     the standard logger: method, path, request ID, status, duration,
 //     and the request's cache hit/miss counts.
 func accessLog(next http.Handler, reg *telemetry.Registry, quiet bool) http.Handler {
 	var seq atomic.Int64
-	latency := reg.FixedHistogram("http.request_latency_us", telemetry.LatencyBounds)
+	latency := reg.Histogram("http.request_latency_us")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := fmt.Sprintf("r%06d", seq.Add(1))

@@ -67,7 +67,7 @@ func TestAccessLog(t *testing.T) {
 		}
 	}
 
-	h := reg.FixedHistogram("http.request_latency_us", telemetry.LatencyBounds)
+	h := reg.Histogram("http.request_latency_us")
 	if h.Count() != 2 {
 		t.Fatalf("latency histogram count = %d, want 2", h.Count())
 	}
@@ -88,7 +88,7 @@ func TestAccessLogQuiet(t *testing.T) {
 	if got := buf.String(); strings.Contains(got, "method=") {
 		t.Fatalf("quiet mode still logged:\n%s", got)
 	}
-	if h := reg.FixedHistogram("http.request_latency_us", telemetry.LatencyBounds); h.Count() != 1 {
+	if h := reg.Histogram("http.request_latency_us"); h.Count() != 1 {
 		t.Fatalf("latency histogram count = %d, want 1", h.Count())
 	}
 }

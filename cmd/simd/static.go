@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -55,15 +53,10 @@ func (s *server) handleStatic(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if encErr := enc.Encode(struct {
+	writeJSON(w, struct {
 		Bench string `json:"bench"`
 		*static.Report
-	}{b.Name, rep}); encErr != nil {
-		fmt.Fprintf(io.Discard, "%v", encErr)
-	}
+	}{b.Name, rep})
 }
 
 // staticReport compiles and analyzes one bench×config image. The

@@ -68,7 +68,7 @@ type Measurement struct {
 	// configuration; Syms folds their per-PC attribution per function
 	// when the request enabled it.
 	Engines []*pipeline.Engine
-	Syms    *sim.SymTable
+	Syms    *prog.SymTable
 
 	Image *prog.Image
 }
@@ -461,7 +461,7 @@ func execute(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, o
 		machine.Attach(e)
 	}
 	if o.PerPC {
-		m.Syms = sim.NewSymTable(c.Image)
+		m.Syms = prog.NewSymTable(c.Image)
 	}
 	rspan := telemetry.StartSpan("run", attrs...)
 	err = machine.Run(b.MaxInstrs)

@@ -30,11 +30,11 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_cells.json from the current engine")
 
 type goldenCell struct {
-	Bus      uint32   `json:"bus"`
-	Waits    int64    `json:"waits"`
-	Cycles   int64    `json:"cycles"`
-	Buckets  []int64  `json:"buckets"`
-	PerPCSHA string   `json:"per_pc_sha256"`
+	Bus      uint32  `json:"bus"`
+	Waits    int64   `json:"waits"`
+	Cycles   int64   `json:"cycles"`
+	Buckets  []int64 `json:"buckets"`
+	PerPCSHA string  `json:"per_pc_sha256"`
 }
 
 type goldenImage struct {
@@ -130,15 +130,16 @@ func goldenSuite(t *testing.T) []*bench.Benchmark {
 	return out
 }
 
+// TestGoldenCells replays every image as its own parallel subtest; the
+// fixture rewrite (-update-golden) measures sequentially.
 func TestGoldenCells(t *testing.T) {
-	var got []goldenImage
-	for _, b := range goldenSuite(t) {
-		for _, spec := range Configs() {
-			got = append(got, measureGoldenImage(t, b, spec))
-		}
-	}
-
 	if *updateGolden {
+		var got []goldenImage
+		for _, b := range goldenSuite(t) {
+			for _, spec := range Configs() {
+				got = append(got, measureGoldenImage(t, b, spec))
+			}
+		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -165,29 +166,42 @@ func TestGoldenCells(t *testing.T) {
 	for _, w := range want {
 		byKey[w.Bench+"|"+w.Config] = w
 	}
-	for _, g := range got {
-		w, ok := byKey[g.Bench+"|"+g.Config]
-		if !ok {
-			t.Errorf("%s on %s: no golden entry (regenerate fixture)", g.Bench, g.Config)
-			continue
-		}
-		for i, cell := range g.Cells {
-			wc := w.Cells[i]
-			if cell.Cycles != wc.Cycles {
-				t.Errorf("%s on %s bus=%d waits=%d: cycles %d, golden %d",
-					g.Bench, g.Config, cell.Bus, cell.Waits, cell.Cycles, wc.Cycles)
-			}
-			for bkt := range cell.Buckets {
-				if cell.Buckets[bkt] != wc.Buckets[bkt] {
-					t.Errorf("%s on %s bus=%d waits=%d: bucket %s %d, golden %d",
-						g.Bench, g.Config, cell.Bus, cell.Waits,
-						pipeline.Bucket(bkt), cell.Buckets[bkt], wc.Buckets[bkt])
+	for _, b := range goldenSuite(t) {
+		for _, spec := range Configs() {
+			t.Run(b.Name+"|"+spec.Name, func(t *testing.T) {
+				t.Parallel()
+				g := measureGoldenImage(t, b, spec)
+				w, ok := byKey[g.Bench+"|"+g.Config]
+				if !ok {
+					t.Errorf("%s on %s: no golden entry (regenerate fixture)", g.Bench, g.Config)
+					return
 				}
+				compareGoldenImage(t, g, w)
+			})
+		}
+	}
+}
+
+// compareGoldenImage reports every cell of g whose cycles, buckets or
+// per-PC digest differ from the fixture's w.
+func compareGoldenImage(t *testing.T, g, w goldenImage) {
+	t.Helper()
+	for i, cell := range g.Cells {
+		wc := w.Cells[i]
+		if cell.Cycles != wc.Cycles {
+			t.Errorf("%s on %s bus=%d waits=%d: cycles %d, golden %d",
+				g.Bench, g.Config, cell.Bus, cell.Waits, cell.Cycles, wc.Cycles)
+		}
+		for bkt := range cell.Buckets {
+			if cell.Buckets[bkt] != wc.Buckets[bkt] {
+				t.Errorf("%s on %s bus=%d waits=%d: bucket %s %d, golden %d",
+					g.Bench, g.Config, cell.Bus, cell.Waits,
+					pipeline.Bucket(bkt), cell.Buckets[bkt], wc.Buckets[bkt])
 			}
-			if cell.PerPCSHA != wc.PerPCSHA {
-				t.Errorf("%s on %s bus=%d waits=%d: per-PC table digest %s, golden %s",
-					g.Bench, g.Config, cell.Bus, cell.Waits, cell.PerPCSHA, wc.PerPCSHA)
-			}
+		}
+		if cell.PerPCSHA != wc.PerPCSHA {
+			t.Errorf("%s on %s bus=%d waits=%d: per-PC table digest %s, golden %s",
+				g.Bench, g.Config, cell.Bus, cell.Waits, cell.PerPCSHA, wc.PerPCSHA)
 		}
 	}
 }

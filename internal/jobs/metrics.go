@@ -17,9 +17,10 @@ import "repro/internal/telemetry"
 //	jobs.cache.misses  counter    submissions that had to execute
 //	jobs.cache.entries gauge      results currently cached
 //	jobs.latency_us    histogram  per-job wall-clock execution time (µs)
-//	jobs.queue_wait_us fixed hist submit-to-dequeue wait (µs, pooled
-//	                              mode only) with deterministic
-//	                              p50/p90/p99 exported by WriteProm
+//	jobs.queue_wait_us histogram  submit-to-dequeue wait (µs, pooled
+//	                              mode only)
+//
+// Histograms export deterministic p50/p90/p99 through WriteProm.
 type Metrics struct {
 	QueueDepth  *telemetry.Gauge
 	InFlight    *telemetry.Gauge
@@ -31,7 +32,7 @@ type Metrics struct {
 	CacheHits   *telemetry.Counter
 	CacheMisses *telemetry.Counter
 	LatencyUS   *telemetry.Histogram
-	QueueWaitUS *telemetry.FixedHistogram
+	QueueWaitUS *telemetry.Histogram
 }
 
 // newMetrics binds the metric set into reg under prefix and registers
@@ -48,7 +49,7 @@ func newMetrics(reg *telemetry.Registry, prefix string, cache *Cache, workers in
 		CacheHits:   reg.Counter(prefix + "cache.hits"),
 		CacheMisses: reg.Counter(prefix + "cache.misses"),
 		LatencyUS:   reg.Histogram(prefix + "latency_us"),
-		QueueWaitUS: reg.FixedHistogram(prefix+"queue_wait_us", telemetry.LatencyBounds),
+		QueueWaitUS: reg.Histogram(prefix + "queue_wait_us"),
 	}
 	reg.RegisterFunc(prefix+"cache.entries", func() int64 { return int64(cache.Len()) })
 	reg.RegisterFunc(prefix+"workers", func() int64 { return int64(workers) })

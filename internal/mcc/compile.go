@@ -52,11 +52,11 @@ func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 }
 
 // timedPass runs one compiler pass, feeding its wall-clock time into the
-// per-pass duration histogram "mcc.pass.<name>.ns".
+// per-pass duration histogram "mcc.pass.<name>.us".
 func timedPass(name string, f func()) {
 	start := time.Now() //detlint:ignore timenow telemetry-only timing, never feeds output bytes
 	f()
-	telemetry.Default().Histogram("mcc.pass." + name + ".ns").Observe(time.Since(start).Nanoseconds()) //detlint:ignore timenow telemetry-only timing, never feeds output bytes
+	telemetry.Default().Histogram("mcc.pass." + name + ".us").Observe(time.Since(start).Microseconds()) //detlint:ignore timenow telemetry-only timing, never feeds output bytes
 }
 
 // instrCount is the optimizer's shrinkage measure: IR instructions

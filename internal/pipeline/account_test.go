@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/mcc"
+	"repro/internal/prog"
 	"repro/internal/sim"
 )
 
@@ -50,7 +51,7 @@ int main() {
 // runAccounted compiles acctProgram for spec, runs it under one engine
 // per config (single execution), and returns the engines plus the
 // symbol table.
-func runAccounted(t *testing.T, spec *isa.Spec, cfgs []pipeline.Config) ([]*pipeline.Engine, *sim.SymTable) {
+func runAccounted(t *testing.T, spec *isa.Spec, cfgs []pipeline.Config) ([]*pipeline.Engine, *prog.SymTable) {
 	t.Helper()
 	c, err := mcc.Compile("acct.mc", acctProgram, spec)
 	if err != nil {
@@ -70,7 +71,7 @@ func runAccounted(t *testing.T, spec *isa.Spec, cfgs []pipeline.Config) ([]*pipe
 	if err := m.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return engines, sim.NewSymTable(c.Image)
+	return engines, prog.NewSymTable(c.Image)
 }
 
 // TestAttributionInvariant is the accounting property test: across both

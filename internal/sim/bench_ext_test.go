@@ -10,19 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// The throughput benchmarks mirror perfgate's sim/throughput and
-// sim/step gates in `go test -bench` form so the hot loop can be
-// profiled in place (-cpuprofile) without running the full harness.
+// The throughput benchmarks time the hot loop on queens, bare and with
+// one engine attached, so it can be profiled in place (-cpuprofile).
 
-func compileQueens(b *testing.B) *mcc.Compiled {
-	b.Helper()
+func compileQueens(tb testing.TB) *mcc.Compiled {
+	tb.Helper()
 	prog := bench.ByName("queens")
 	if prog == nil {
-		b.Fatal("benchmark queens missing")
+		tb.Fatal("benchmark queens missing")
 	}
 	c, err := mcc.Compile(prog.Name+".mc", prog.Source, isa.D16())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }
@@ -64,4 +63,35 @@ func BenchmarkRunEngine(b *testing.B) {
 		sim.Release(m)
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+}
+
+// maxAllocsPerInstr is the production hot path's absolute allocation
+// budget. The loop itself allocates nothing (TestRunDoesNotAllocate);
+// the budget leaves room for the per-run engine and for a fresh machine
+// when a GC has emptied Acquire's pool, amortized over the path length.
+const maxAllocsPerInstr = 0.1
+
+// TestRunEngineAllocBudget runs BenchmarkRunEngine's shape — pooled
+// machine, shared predecoded table, one devirtualized engine — and
+// fails when its allocations per simulated instruction reach the budget.
+func TestRunEngineAllocBudget(t *testing.T) {
+	c := compileQueens(t)
+	max := bench.ByName("queens").MaxInstrs
+	var instrs int64
+	allocs := testing.AllocsPerRun(5, func() {
+		m, err := sim.Acquire(c.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Attach(pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1}))
+		if err := m.Run(max); err != nil {
+			t.Fatal(err)
+		}
+		instrs = m.Stats.Instrs
+		sim.Release(m)
+	})
+	if per := allocs / float64(instrs); per >= maxAllocsPerInstr {
+		t.Errorf("%.4f allocations per simulated instruction (%.0f per run, %d instructions), budget %.2f",
+			per, allocs, instrs, maxAllocsPerInstr)
+	}
 }

@@ -33,12 +33,12 @@
 // # Hot-loop discipline
 //
 // Run and everything it calls per instruction (account, exec, the
-// observer notifications) must not allocate: the perfgate benchmark
-// sim/step enforces an allocs-per-instruction ceiling, and
-// TestRunDoesNotAllocate asserts zero steady-state allocations. When
-// exactly one pipeline.Engine is attached, Run calls it directly
-// (devirtualized); any other observer mix takes the interface slice
-// path.
+// observer notifications) must not allocate: TestRunDoesNotAllocate
+// asserts zero steady-state allocations, and TestRunEngineAllocBudget
+// holds the pooled production path under an allocs-per-instruction
+// ceiling. When exactly one pipeline.Engine is attached, Run calls it
+// directly (devirtualized); any other observer mix takes the interface
+// slice path.
 package sim
 
 import (
@@ -53,22 +53,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/telemetry"
-)
-
-// FPU result latencies in cycles (a result produced at cycle t is usable
-// by an instruction issuing at t+latency). Ordinary operations have
-// latency 1; loads have 2 (the one-cycle delay slot). The constants
-// live in isa (shared with the timing models and the static analyzer);
-// these aliases keep the historical sim.Lat* names working.
-const (
-	LatNormal  = isa.LatNormal
-	LatLoad    = isa.LatLoad
-	LatFAdd    = isa.LatFAdd
-	LatFMul    = isa.LatFMul
-	LatFDivS   = isa.LatFDivS
-	LatFDivD   = isa.LatFDivD
-	LatFCmp    = isa.LatFCmp
-	LatConvert = isa.LatConvert
 )
 
 // Stats accumulates the dynamic measures of one run.
@@ -389,7 +373,7 @@ func (m *Machine) Run(maxInstrs int64) error {
 		interlocks += issue - t
 		t = issue + 1
 		if op.Flags&decode.FFCmp != 0 {
-			fpsrReady = issue + LatFCmp
+			fpsrReady = issue + isa.LatFCmp
 		}
 		if op.Def != decode.None {
 			m.ready[op.Def] = issue + int64(op.Lat)

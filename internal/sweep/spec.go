@@ -3,7 +3,7 @@
 // penalty, generates a verified synthetic corpus for the workload axes
 // (internal/synth), fans the grid through the jobs scheduler, and
 // streams the resulting points into a deterministic .mcst surface that
-// repro -query and perfgate -surface consume. docs/SWEEP.md documents
+// repro -query and repro -diff consume. docs/SWEEP.md documents
 // the grammar and the guarantees.
 package sweep
 

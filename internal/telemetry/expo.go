@@ -13,9 +13,9 @@ import (
 // sanitized to the Prometheus grammar (every character outside
 // [a-zA-Z0-9_:] becomes '_'); counters and gauges expose their value
 // directly, histograms expose cumulative le-labelled buckets plus
-// _sum and _count series. Fixed-bound histograms additionally expose
-// their deterministic _p50/_p90/_p99 quantile gauges and a _mean gauge
-// (guarded: a non-finite mean is never emitted).
+// _sum and _count series, their deterministic _p50/_p90/_p99 quantile
+// gauges and a _mean gauge (guarded: a non-finite mean is never
+// emitted).
 func (r *Registry) WriteProm(w io.Writer) error {
 	for _, s := range r.Snapshot() {
 		name := promName(s.Name)
@@ -25,29 +25,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Value)
 		case "gauge":
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, s.Value)
-		case "fixed_histogram":
-			if err = writePromFixed(w, name, s); err != nil {
-				return err
-			}
 		case "histogram":
-			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-				return err
-			}
-			var cum int64
-			for _, b := range s.Hist {
-				cum += b.Count
-				// Our buckets hold v < High; Prometheus le is inclusive,
-				// so the boundary is High-1 (bucket 0 holds v <= 0).
-				le := b.High - 1
-				if b.High == 0 {
-					le = 0
-				}
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, le, cum); err != nil {
-					return err
-				}
-			}
-			_, err = fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-				name, s.Count, name, s.Sum, name, s.Count)
+			err = writePromHistogram(w, name, s)
 		}
 		if err != nil {
 			return err
@@ -56,11 +35,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// writePromFixed exposes one fixed-bound histogram: le labels are the
-// exact bucket bounds (inclusive upper bounds, matching Prometheus
-// semantics directly), and the deterministic quantiles ride along as
-// plain gauges.
-func writePromFixed(w io.Writer, name string, s Snapshot) error {
+// writePromHistogram exposes one histogram: le labels are the exact
+// bucket bounds (inclusive upper bounds, matching Prometheus semantics
+// directly), and the deterministic quantiles ride along as plain gauges.
+func writePromHistogram(w io.Writer, name string, s Snapshot) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mcc.compiles").Add(3)
 	r.Gauge("sim.instrs").Set(42)
-	h := r.Histogram("mcc.pass.opt.ns")
+	h := r.Histogram("mcc.pass.opt.us")
 	h.Observe(3)
 	h.Observe(900)
 	r.RegisterFunc("live.value", func() int64 { return 7 })
@@ -26,12 +26,12 @@ func TestWriteProm(t *testing.T) {
 		"# TYPE mcc_compiles counter\nmcc_compiles 3\n",
 		"# TYPE sim_instrs gauge\nsim_instrs 42\n",
 		"# TYPE live_value gauge\nlive_value 7\n",
-		"# TYPE mcc_pass_opt_ns histogram\n",
-		"mcc_pass_opt_ns_bucket{le=\"3\"} 1\n",
-		"mcc_pass_opt_ns_bucket{le=\"1023\"} 2\n",
-		"mcc_pass_opt_ns_bucket{le=\"+Inf\"} 2\n",
-		"mcc_pass_opt_ns_sum 903\n",
-		"mcc_pass_opt_ns_count 2\n",
+		"# TYPE mcc_pass_opt_us histogram\n",
+		"mcc_pass_opt_us_bucket{le=\"50\"} 1\n",
+		"mcc_pass_opt_us_bucket{le=\"1000\"} 2\n",
+		"mcc_pass_opt_us_bucket{le=\"+Inf\"} 2\n",
+		"mcc_pass_opt_us_sum 903\n",
+		"mcc_pass_opt_us_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -85,8 +85,8 @@ func TestWritePromEscapesNames(t *testing.T) {
 func TestWritePromGuardsNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		var b strings.Builder
-		s := Snapshot{Name: "x", Kind: "fixed_histogram", Count: 1, Sum: 1, Mean: v}
-		if err := writePromFixed(&b, "x", s); err != nil {
+		s := Snapshot{Name: "x", Kind: "histogram", Count: 1, Sum: 1, Mean: v}
+		if err := writePromHistogram(&b, "x", s); err != nil {
 			t.Fatal(err)
 		}
 		if strings.Contains(b.String(), "_mean") {
@@ -94,7 +94,7 @@ func TestWritePromGuardsNonFinite(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := writePromFixed(&b, "x", Snapshot{Name: "x", Kind: "fixed_histogram", Count: 2, Sum: 10, Mean: 5}); err != nil {
+	if err := writePromHistogram(&b, "x", Snapshot{Name: "x", Kind: "histogram", Count: 2, Sum: 10, Mean: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "x_mean 5\n") {
@@ -115,7 +115,7 @@ func TestWritePromStableUnderConcurrentRegistration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				r.Counter(fmt.Sprintf("c.%02d.%02d", g, i)).Inc()
-				r.FixedHistogram(fmt.Sprintf("h.%02d.%02d", g, i), []int64{1, 10}).Observe(int64(i))
+				r.Histogram(fmt.Sprintf("h.%02d.%02d", g, i)).Observe(int64(i))
 			}
 		}(g)
 	}
@@ -151,7 +151,7 @@ func TestWritePromStableUnderConcurrentRegistration(t *testing.T) {
 	if counters != 200 {
 		t.Fatalf("exposition has %d counters, want 200", counters)
 	}
-	// A fixed histogram emits its quantile/mean gauges right after the
+	// A histogram emits its quantile/mean gauges right after the
 	// histogram itself; ordering is by the base metric name.
 	base := func(n string) string {
 		for _, suf := range []string{"_p50", "_p90", "_p99", "_mean"} {

@@ -1,73 +1,79 @@
 package telemetry
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
-// LatencyBounds are the default fixed bucket upper bounds for latency
-// histograms, in microseconds: 50µs to 10s on a 1-2.5-5 ladder. Fixed
-// bounds (rather than the log2 Histogram) make the exported quantiles
-// deterministic functions of the observation multiset — two runs that
-// observe the same values report the same p50/p90/p99.
-var LatencyBounds = []int64{
+// latencyBounds are every histogram's bucket upper bounds, in
+// microseconds: 50µs to 10s on a 1-2.5-5 ladder. Fixed bounds make the
+// exported quantiles deterministic functions of the observation
+// multiset — two runs that observe the same values report the same
+// p50/p90/p99.
+var latencyBounds = [...]int64{
 	50, 100, 250, 500,
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
 	1_000_000, 2_500_000, 5_000_000, 10_000_000,
 }
 
-// FixedHistogram accumulates a distribution in caller-fixed bucket
-// bounds with atomic updates. Bucket i counts observations v with
-// v <= bounds[i] (and v > bounds[i-1]); one overflow bucket catches the
-// rest. Quantiles are estimated as the upper bound of the bucket where
-// the cumulative count crosses the rank, which is deterministic and
-// never interpolates.
-type FixedHistogram struct {
-	bounds []int64
-	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
+// Histogram accumulates a distribution of microsecond durations in the
+// latencyBounds buckets, plus count/sum/min/max, all with atomic
+// updates. Bucket i counts observations v with v <= latencyBounds[i]
+// (and v > latencyBounds[i-1]); one overflow bucket catches the rest.
+// Quantiles are estimated as the upper bound of the bucket where the
+// cumulative count crosses the rank, which is deterministic and never
+// interpolates.
+type Histogram struct {
+	counts [len(latencyBounds) + 1]atomic.Int64 // last is the overflow bucket
 	count  atomic.Int64
 	sum    atomic.Int64
+	min    atomic.Int64 // valid only when count > 0
+	max    atomic.Int64
 }
 
-// NewFixedHistogram returns a standalone histogram over the given
-// strictly ascending upper bounds (nil selects LatencyBounds).
-func NewFixedHistogram(bounds []int64) *FixedHistogram {
-	if len(bounds) == 0 {
-		bounds = LatencyBounds
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: fixed histogram bounds must be strictly ascending")
-		}
-	}
-	return &FixedHistogram{
-		bounds: append([]int64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
+// newHistogram sets the min/max sentinels; histograms are created
+// through a Registry, never as zero values.
+func newHistogram() *Histogram {
+	h := &Histogram{}
+	h.min.Store(math.MaxInt64)
+	h.max.Store(math.MinInt64)
+	return h
 }
 
 // Observe records one value.
-func (h *FixedHistogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
+	for {
+		old := h.min.Load()
+		if v >= old || h.min.CompareAndSwap(old, v) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if v <= old || h.max.CompareAndSwap(old, v) {
+			break
+		}
+	}
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(latencyBounds) && v > latencyBounds[i] {
 		i++
 	}
 	h.counts[i].Add(1)
 }
 
 // Count returns the number of observations.
-func (h *FixedHistogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
-func (h *FixedHistogram) Sum() int64 { return h.sum.Load() }
-
-// Bounds returns the bucket upper bounds (shared; do not modify).
-func (h *FixedHistogram) Bounds() []int64 { return h.bounds }
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
 // the bucket holding the rank-⌈q·count⌉ observation. An empty histogram
 // returns 0 (never NaN); ranks landing in the overflow bucket return
 // the last bound (the histogram cannot resolve beyond it).
-func (h *FixedHistogram) Quantile(q float64) int64 {
+func (h *Histogram) Quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 || q <= 0 {
 		return 0
@@ -79,34 +85,36 @@ func (h *FixedHistogram) Quantile(q float64) int64 {
 	if rank < 1 {
 		rank = 1
 	}
+	last := latencyBounds[len(latencyBounds)-1]
 	var cum int64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
 		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
+			if i < len(latencyBounds) {
+				return latencyBounds[i]
 			}
-			return h.bounds[len(h.bounds)-1]
+			return last
 		}
 	}
-	return h.bounds[len(h.bounds)-1]
+	return last
 }
 
-func (h *FixedHistogram) snapshot(name string) Snapshot {
+func (h *Histogram) snapshot(name string) Snapshot {
 	s := Snapshot{
-		Name: name, Kind: "fixed_histogram",
+		Name: name, Kind: "histogram",
 		Count: h.Count(), Sum: h.Sum(),
 		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
 	}
 	if s.Count > 0 {
 		s.Mean = float64(s.Sum) / float64(s.Count)
+		s.Min, s.Max = h.min.Load(), h.max.Load()
 	}
 	low := int64(0)
 	for i := range h.counts {
 		n := h.counts[i].Load()
 		high := int64(0)
-		if i < len(h.bounds) {
-			high = h.bounds[i]
+		if i < len(latencyBounds) {
+			high = latencyBounds[i]
 		}
 		if n != 0 {
 			// Overflow bucket exports High 0 — WriteProm maps it to +Inf.
@@ -117,9 +125,7 @@ func (h *FixedHistogram) snapshot(name string) Snapshot {
 	return s
 }
 
-// FixedHistogram returns the named fixed-bound histogram, creating it
-// over bounds on first use (nil selects LatencyBounds; the bounds of an
-// existing histogram are kept).
-func (r *Registry) FixedHistogram(name string, bounds []int64) *FixedHistogram {
-	return lookup(r, name, func() *FixedHistogram { return NewFixedHistogram(bounds) })
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
+	return lookup(r, name, newHistogram)
 }

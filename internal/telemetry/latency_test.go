@@ -7,7 +7,7 @@ import (
 )
 
 func TestFixedHistogramQuantiles(t *testing.T) {
-	h := NewFixedHistogram([]int64{10, 20, 50, 100})
+	h := newHistogram()
 
 	// Empty: quantiles are 0, never NaN.
 	if got := h.Quantile(0.99); got != 0 {
@@ -22,9 +22,9 @@ func TestFixedHistogramQuantiles(t *testing.T) {
 		q    float64
 		want int64
 	}{
-		{0.10, 10},  // rank 10 -> first bucket (<=10)
-		{0.50, 50},  // rank 50 -> third bucket (<=50)
-		{0.90, 100}, // rank 90 -> fourth bucket (<=100)
+		{0.10, 50},  // rank 10 -> first bucket (<=50)
+		{0.50, 50},  // rank 50 -> first bucket
+		{0.51, 100}, // rank 51 -> second bucket (<=100)
 		{0.99, 100},
 		{1.00, 100},
 	} {
@@ -37,16 +37,18 @@ func TestFixedHistogramQuantiles(t *testing.T) {
 	}
 
 	// Overflow observations resolve to the last bound, not +Inf or 0.
-	h.Observe(10_000)
-	if got := h.Quantile(1.0); got != 100 {
-		t.Fatalf("overflow p100 = %d, want last bound 100", got)
+	for i := 0; i < 100; i++ {
+		h.Observe(20_000_000)
+	}
+	if got := h.Quantile(1.0); got != 10_000_000 {
+		t.Fatalf("overflow p100 = %d, want last bound 10000000", got)
 	}
 }
 
 func TestFixedHistogramDeterministic(t *testing.T) {
 	// Same multiset, different observation order -> identical snapshots.
-	a := NewFixedHistogram(nil)
-	b := NewFixedHistogram(nil)
+	a := newHistogram()
+	b := newHistogram()
 	vals := []int64{3, 70, 70, 900, 12_000, 450_000, 3, 42}
 	for _, v := range vals {
 		a.Observe(v)
@@ -63,19 +65,10 @@ func TestFixedHistogramDeterministic(t *testing.T) {
 	}
 }
 
-func TestFixedHistogramBadBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-ascending bounds did not panic")
-		}
-	}()
-	NewFixedHistogram([]int64{10, 10})
-}
-
 func TestRegistryFixedHistogramReuse(t *testing.T) {
 	r := NewRegistry()
-	h1 := r.FixedHistogram("lat", []int64{1, 2, 3})
-	h2 := r.FixedHistogram("lat", nil) // existing bounds kept
+	h1 := r.Histogram("lat")
+	h2 := r.Histogram("lat")
 	if h1 != h2 {
 		t.Fatal("same name returned distinct histograms")
 	}
@@ -85,7 +78,7 @@ func TestRegistryFixedHistogramReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := int64(0); j < 1000; j++ {
-				r.FixedHistogram("lat", nil).Observe(j % 4)
+				r.Histogram("lat").Observe(j % 4)
 			}
 		}()
 	}
@@ -97,10 +90,10 @@ func TestRegistryFixedHistogramReuse(t *testing.T) {
 
 func TestFixedHistogramProm(t *testing.T) {
 	r := NewRegistry()
-	h := r.FixedHistogram("http.request_latency_us", []int64{10, 100, 1000})
+	h := r.Histogram("http.request_latency_us")
 	h.Observe(5)
-	h.Observe(50)
-	h.Observe(50_000) // overflow
+	h.Observe(80)
+	h.Observe(50_000_000) // overflow
 
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -109,15 +102,15 @@ func TestFixedHistogramProm(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE http_request_latency_us histogram\n",
-		`http_request_latency_us_bucket{le="10"} 1` + "\n",
+		`http_request_latency_us_bucket{le="50"} 1` + "\n",
 		`http_request_latency_us_bucket{le="100"} 2` + "\n",
 		`http_request_latency_us_bucket{le="+Inf"} 3` + "\n",
-		"http_request_latency_us_sum 50055\n",
+		"http_request_latency_us_sum 50000085\n",
 		"http_request_latency_us_count 3\n",
 		"http_request_latency_us_p50 100\n",
-		"http_request_latency_us_p90 1000\n",
-		"http_request_latency_us_p99 1000\n",
-		"http_request_latency_us_mean 16685\n",
+		"http_request_latency_us_p90 10000000\n",
+		"http_request_latency_us_p99 10000000\n",
+		"http_request_latency_us_mean 1.6666695e+07\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)

@@ -61,7 +61,7 @@ func TestCounterIgnoresNegative(t *testing.T) {
 }
 
 func TestHistogramMinMaxBuckets(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for _, v := range []int64{7, 1, 0, 900, 16} {
 		h.Observe(v)
 	}
@@ -72,14 +72,14 @@ func TestHistogramMinMaxBuckets(t *testing.T) {
 	if s.Count != 5 || s.Sum != 924 {
 		t.Errorf("count/sum = %d/%d, want 5/924", s.Count, s.Sum)
 	}
-	// 16 lands in [16,32); 900 in [512,1024); 0 in the zero bucket.
-	want := map[int64]int64{0: 1, 1: 1, 4: 1, 16: 1, 512: 1}
-	for _, b := range s.Hist {
-		if want[b.Low] != b.Count {
-			t.Errorf("bucket low=%d count=%d unexpected", b.Low, b.Count)
-		}
-		if b.Low > 0 && !(b.Low <= 900 && b.High > b.Low) {
-			t.Errorf("malformed bucket %+v", b)
+	// 0, 1, 7 and 16 land in (0,50]; 900 in (500,1000].
+	want := []Bucket{{Low: 0, High: 50, Count: 4}, {Low: 500, High: 1000, Count: 1}}
+	if len(s.Hist) != len(want) {
+		t.Fatalf("buckets = %+v, want %+v", s.Hist, want)
+	}
+	for i, b := range s.Hist {
+		if b != want[i] {
+			t.Errorf("bucket %d = %+v, want %+v", i, b, want[i])
 		}
 	}
 }
