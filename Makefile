@@ -10,8 +10,12 @@ BIN := $(TMP)/bin
 
 check: vet lint build test fuzz-short verify smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke
 
+# go vet, plus a formatting gate: every Go file outside the benchmark's
+# build directory must be gofmt-clean.
 vet:
 	go vet ./...
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Determinism linter: no map-order iteration, wall-clock reads or
 # math/rand in packages whose output must be byte-identical (see

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/telemetry"
 )
@@ -38,6 +39,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Size == 0 || c.BlockBytes == 0 || c.SubBytes == 0:
 		return fmt.Errorf("cache: zero geometry %+v", c)
+	case c.SubBytes < 4:
+		return fmt.Errorf("cache: sub-block %d bytes is under one 32-bit word; traffic is counted in whole words", c.SubBytes)
 	case c.BlockBytes%c.SubBytes != 0:
 		return fmt.Errorf("cache: block %d not a multiple of sub-block %d", c.BlockBytes, c.SubBytes)
 	case c.Size%c.BlockBytes != 0:
@@ -48,9 +51,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: %d blocks not divisible by associativity %d", c.Size/c.BlockBytes, c.Assoc)
 	case !pow2(c.Size) || !pow2(c.BlockBytes) || !pow2(c.SubBytes):
 		return fmt.Errorf("cache: geometry must be powers of two: %+v", c)
+	case c.BlockBytes/c.SubBytes > maxSubBlocks:
+		return fmt.Errorf("cache: %d sub-blocks per block, at most %d are tracked", c.BlockBytes/c.SubBytes, maxSubBlocks)
 	}
 	return nil
 }
+
+// maxSubBlocks is the most sub-blocks a block may hold: a line keeps its
+// valid and dirty sub-blocks as 64-bit masks.
+const maxSubBlocks = 64
 
 func pow2(v uint32) bool { return v != 0 && v&(v-1) == 0 }
 
@@ -114,22 +123,30 @@ func (s *Stats) Register(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+"misses", s.Misses)
 }
 
-type line struct {
-	tag   uint32
-	valid []bool // per sub-block
-	dirty []bool
-	inUse bool
-	lru   int64
-}
+// lineUsed marks an occupied line in tags. A line's tag is its whole
+// block number, which never reaches bit 31: a block is at least four
+// bytes.
+const lineUsed = 1 << 31
 
-// Cache is one simulated cache.
+// Cache is one simulated cache. Its lines live in flat per-line arrays
+// indexed set*Assoc+way, and every index is a shift or a mask
+// precomputed from the power-of-two geometry.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	subPer   uint32 // sub-blocks per block
-	setCount uint32
-	tick     int64
-	Stats    Stats
+	cfg   Config
+	tags  []uint32 // block number|lineUsed of each line; 0 is an empty line
+	valid []uint64 // per-line sub-block valid bits
+	dirty []uint64 // per-line sub-block dirty bits
+	lru   []int64  // tick of each line's last touch (consulted only when Assoc > 1)
+
+	assoc      int
+	blockShift uint32 // addr >> blockShift is the block number
+	setMask    uint32 // block & setMask is the set
+	subShift   uint32 // addr >> subShift & subMask is the sub-block
+	subMask    uint32
+	subWords   int64 // words moved per sub-block transfer
+
+	tick  int64
+	Stats Stats
 }
 
 // New builds a cache; the configuration must validate.
@@ -137,23 +154,24 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	setCount := cfg.Size / cfg.BlockBytes / cfg.Assoc
-	c := &Cache{
-		cfg:      cfg,
-		subPer:   cfg.BlockBytes / cfg.SubBytes,
-		setCount: setCount,
-		sets:     make([][]line, setCount),
-	}
-	for i := range c.sets {
-		ways := make([]line, cfg.Assoc)
-		for w := range ways {
-			ways[w].valid = make([]bool, c.subPer)
-			ways[w].dirty = make([]bool, c.subPer)
-		}
-		c.sets[i] = ways
-	}
-	return c, nil
+	lines := cfg.Size / cfg.BlockBytes
+	return &Cache{
+		cfg:        cfg,
+		tags:       make([]uint32, lines),
+		valid:      make([]uint64, lines),
+		dirty:      make([]uint64, lines),
+		lru:        make([]int64, lines),
+		assoc:      int(cfg.Assoc),
+		blockShift: log2(cfg.BlockBytes),
+		setMask:    lines/cfg.Assoc - 1,
+		subShift:   log2(cfg.SubBytes),
+		subMask:    cfg.BlockBytes/cfg.SubBytes - 1,
+		subWords:   int64(cfg.SubBytes / 4),
+	}, nil
 }
+
+// log2 of a power of two.
+func log2(v uint32) uint32 { return uint32(bits.TrailingZeros32(v)) }
 
 // MustNew is New for static configurations known to be valid.
 func MustNew(cfg Config) *Cache {
@@ -167,49 +185,46 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) locate(addr uint32) (set uint32, tag uint32, sub uint32) {
-	block := addr / c.cfg.BlockBytes
-	return block % c.setCount, block / c.setCount, addr % c.cfg.BlockBytes / c.cfg.SubBytes
+// locate returns the first line of addr's set, its tag (as stored in
+// tags) and its sub-block bit.
+func (c *Cache) locate(addr uint32) (base int, tag uint32, bit uint64) {
+	block := addr >> c.blockShift
+	return int(block&c.setMask) * c.assoc, block | lineUsed, 1 << (addr >> c.subShift & c.subMask)
 }
 
-// findWay returns the way holding the tag, or -1.
-func (c *Cache) findWay(set, tag uint32) int {
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
-		if ln.inUse && ln.tag == tag {
-			return w
+// findWay returns the line of the set at base holding tag, or -1.
+func (c *Cache) findWay(base int, tag uint32) int {
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == tag {
+			return i
 		}
 	}
 	return -1
 }
 
-// victim returns the way to replace in a set (LRU; trivially way 0 when
+// victim returns the line to replace in the set at base: the first empty
+// line, else the least recently used (trivially the only line when
 // direct-mapped).
-func (c *Cache) victim(set uint32) int {
-	best, bestLRU := 0, int64(1)<<62
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
-		if !ln.inUse {
-			return w
+func (c *Cache) victim(base int) int {
+	best, bestLRU := base, int64(1)<<62
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == 0 {
+			return i
 		}
-		if ln.lru < bestLRU {
-			best, bestLRU = w, ln.lru
+		if c.lru[i] < bestLRU {
+			best, bestLRU = i, c.lru[i]
 		}
 	}
 	return best
 }
 
-// evict writes back dirty sub-blocks of a line about to be replaced.
-func (c *Cache) evict(ln *line) {
+// evict writes back the dirty sub-blocks of a line about to be replaced.
+func (c *Cache) evict(i int) {
 	if c.cfg.WriteThrough {
 		return
 	}
-	for i, d := range ln.dirty {
-		if d {
-			c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
-			ln.dirty[i] = false
-		}
-	}
+	c.Stats.MemWriteWords += int64(bits.OnesCount64(c.dirty[i])) * c.subWords
+	c.dirty[i] = 0
 }
 
 // Read simulates a read access (instruction fetch or data load) and
@@ -217,90 +232,98 @@ func (c *Cache) evict(ln *line) {
 func (c *Cache) Read(addr uint32) bool {
 	c.tick++
 	c.Stats.Reads++
-	set, tag, sub := c.locate(addr)
-	w := c.findWay(set, tag)
-	if w >= 0 && c.sets[set][w].valid[sub] {
-		c.sets[set][w].lru = c.tick
+	base, tag, bit := c.locate(addr)
+	i := c.findWay(base, tag)
+	if i >= 0 && c.valid[i]&bit != 0 {
+		c.lru[i] = c.tick
 		return false
 	}
+	c.readMiss(base, tag, bit, i)
+	return true
+}
+
+// readMiss fetches sub-block bit of tag's line in the set at base; i is
+// the line holding the tag already, or -1 to allocate one.
+func (c *Cache) readMiss(base int, tag uint32, bit uint64, i int) {
 	c.Stats.ReadMisses++
-	ln := c.fill(set, tag, w)
-	ln.valid[sub] = true
-	c.Stats.MemReadWords += int64(c.cfg.SubBytes / 4)
+	i = c.fill(base, tag, i)
+	c.valid[i] |= bit
+	c.Stats.MemReadWords += c.subWords
 	if !c.cfg.NoPrefetch {
 		// Wrap-around prefetch: also fetch the next sub-block, wrapping
 		// within the block.
-		nxt := (sub + 1) % c.subPer
-		if !ln.valid[nxt] {
-			ln.valid[nxt] = true
-			c.Stats.MemReadWords += int64(c.cfg.SubBytes / 4)
+		if nxt := c.nextSub(bit); c.valid[i]&nxt == 0 {
+			c.valid[i] |= nxt
+			c.Stats.MemReadWords += c.subWords
 		}
 	}
-	return true
+}
+
+// nextSub returns the bit of the sub-block after bit's, wrapping within
+// the block.
+func (c *Cache) nextSub(bit uint64) uint64 {
+	if bit == 1<<c.subMask {
+		return 1
+	}
+	return bit << 1
 }
 
 // Write simulates a write access and reports whether it missed.
 func (c *Cache) Write(addr uint32) bool {
 	c.tick++
 	c.Stats.Writes++
-	set, tag, sub := c.locate(addr)
-	w := c.findWay(set, tag)
-	hit := w >= 0 && c.sets[set][w].valid[sub]
-	if hit {
-		ln := &c.sets[set][w]
-		ln.lru = c.tick
+	base, tag, bit := c.locate(addr)
+	return c.write(base, tag, bit, c.findWay(base, tag))
+}
+
+// write applies a write of sub-block bit to tag's line in the set at
+// base and reports whether it missed; i is the line holding the tag, or
+// -1.
+func (c *Cache) write(base int, tag uint32, bit uint64, i int) bool {
+	if i >= 0 && c.valid[i]&bit != 0 {
+		c.lru[i] = c.tick
 		if c.cfg.WriteThrough {
-			c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
+			c.Stats.MemWriteWords += c.subWords
 		} else {
-			ln.dirty[sub] = true
+			c.dirty[i] |= bit
 		}
 		return false
 	}
 	c.Stats.WriteMisses++
 	if c.cfg.NoWriteAllocate {
-		c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
+		c.Stats.MemWriteWords += c.subWords
 		return true
 	}
-	ln := c.fill(set, tag, w)
-	ln.valid[sub] = true
-	c.Stats.MemReadWords += int64(c.cfg.SubBytes / 4) // no prefetch on write
+	i = c.fill(base, tag, i)
+	c.valid[i] |= bit
+	c.Stats.MemReadWords += c.subWords // no prefetch on write
 	if c.cfg.WriteThrough {
-		c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
+		c.Stats.MemWriteWords += c.subWords
 	} else {
-		ln.dirty[sub] = true
+		c.dirty[i] |= bit
 	}
 	return true
 }
 
-// fill ensures a line for (set, tag) exists and returns it; w is the way
-// holding the tag already, or -1 to allocate.
-func (c *Cache) fill(set, tag uint32, w int) *line {
-	if w < 0 {
-		w = c.victim(set)
-		ln := &c.sets[set][w]
-		c.evict(ln)
-		ln.tag = tag
-		ln.inUse = true
-		for i := range ln.valid {
-			ln.valid[i] = false
-		}
+// fill ensures a line for tag exists in the set at base and returns it;
+// i is the line holding the tag already, or -1 to allocate.
+func (c *Cache) fill(base int, tag uint32, i int) int {
+	if i < 0 {
+		i = c.victim(base)
+		c.evict(i)
+		c.tags[i] = tag
+		c.valid[i] = 0
 	}
-	ln := &c.sets[set][w]
-	ln.lru = c.tick
-	return ln
+	c.lru[i] = c.tick
+	return i
 }
 
 // Flush invalidates everything (writing back dirty data) — used between
 // measurement phases.
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			c.evict(ln)
-			ln.inUse = false
-			for i := range ln.valid {
-				ln.valid[i] = false
-			}
-		}
+	for i := range c.tags {
+		c.evict(i)
+		c.tags[i] = 0
+		c.valid[i] = 0
 	}
 }

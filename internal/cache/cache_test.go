@@ -2,22 +2,34 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{},
-		{Size: 1024, BlockBytes: 24, SubBytes: 8, Assoc: 1},
-		{Size: 1000, BlockBytes: 32, SubBytes: 8, Assoc: 1},
-		{Size: 1024, BlockBytes: 32, SubBytes: 12, Assoc: 1},
-		{Size: 1024, BlockBytes: 32, SubBytes: 8, Assoc: 0},
-		{Size: 1024, BlockBytes: 32, SubBytes: 8, Assoc: 3},
+	bad := []struct {
+		cfg  Config
+		want string // part of the error message
+	}{
+		{Config{}, "zero geometry"},
+		{Config{Size: 1024, BlockBytes: 24, SubBytes: 8, Assoc: 1}, "multiple of block"},
+		{Config{Size: 1000, BlockBytes: 32, SubBytes: 8, Assoc: 1}, "multiple of block"},
+		{Config{Size: 1024, BlockBytes: 32, SubBytes: 12, Assoc: 1}, "multiple of sub-block"},
+		{Config{Size: 3072, BlockBytes: 48, SubBytes: 8, Assoc: 1}, "powers of two"},
+		{Config{Size: 1024, BlockBytes: 32, SubBytes: 8, Assoc: 0}, "zero associativity"},
+		{Config{Size: 1024, BlockBytes: 32, SubBytes: 8, Assoc: 3}, "not divisible by associativity"},
+		// Traffic is counted in 32-bit words: a sub-block under one word
+		// would move zero words per fill.
+		{Config{Size: 1024, BlockBytes: 32, SubBytes: 2, Assoc: 1}, "under one 32-bit word"},
+		{Config{Size: 1024, BlockBytes: 32, SubBytes: 1, Assoc: 1}, "under one 32-bit word"},
+		// A line tracks its sub-blocks in 64-bit masks.
+		{Config{Size: 4096, BlockBytes: 512, SubBytes: 4, Assoc: 1}, "128 sub-blocks per block"},
 	}
-	for _, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %+v should be rejected", cfg)
+	for _, tc := range bad {
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("config %+v: error %v, want one containing %q", tc.cfg, err, tc.want)
 		}
 	}
 	good := []Config{
@@ -25,6 +37,7 @@ func TestConfigValidation(t *testing.T) {
 		PaperConfigSub(1024, 8),
 		PaperConfigSub(16384, 64),
 		{Size: 4096, BlockBytes: 32, SubBytes: 8, Assoc: 2},
+		{Size: 4096, BlockBytes: 256, SubBytes: 4, Assoc: 1}, // 64 sub-blocks
 	}
 	for _, cfg := range good {
 		if _, err := New(cfg); err != nil {
@@ -65,6 +78,21 @@ func TestWrapAroundPrefetchWraps(t *testing.T) {
 	}
 	if !c.Read(0x1004) {
 		t.Fatal("0x1004 was neither fetched nor prefetched; must miss")
+	}
+}
+
+// The wrap also holds at the widest block a line can track: 64
+// sub-blocks.
+func TestWrapAroundPrefetchWraps64(t *testing.T) {
+	c := MustNew(Config{Size: 1024, BlockBytes: 256, SubBytes: 4, Assoc: 1})
+	if !c.Read(0x10FC) {
+		t.Fatal("cold read must miss")
+	}
+	if c.Stats.MemReadWords != 2 {
+		t.Errorf("miss plus prefetch moved %d words, want 2", c.Stats.MemReadWords)
+	}
+	if c.Read(0x1000) {
+		t.Fatal("wrap-around prefetch should have filled the first sub-block")
 	}
 }
 

@@ -1,13 +1,11 @@
 package cache
 
-import (
-	"repro/internal/isa"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
-// System is a split instruction/data cache pair attached to a simulated
-// machine as an observer (Section 4.1's configuration: separate on-chip
-// direct-mapped instruction and data caches).
+// System is a split instruction/data cache pair (Section 4.1's
+// configuration: separate on-chip direct-mapped instruction and data
+// caches). A Bank drives systems from an execution's reference stream;
+// a pipeline engine probes its own system access by access.
 type System struct {
 	I *Cache
 	D *Cache
@@ -41,27 +39,6 @@ func NewSystem(icfg, dcfg Config) (*System, error) {
 	}
 	return &System{I: ic, D: dc}, nil
 }
-
-// Exec implements sim.Observer: every executed instruction probes the
-// instruction cache at its own address. Because validity is per
-// sub-block, two 16-bit instructions in one word cost one fill, which is
-// exactly the D16 density advantage the paper measures.
-func (s *System) Exec(pc uint32, _ isa.Instr) { s.I.Read(pc) }
-
-// Load implements sim.Observer. Text-segment reads (D16 ldc literal-pool
-// loads) go through the instruction cache: literals sit adjacent to the
-// code that references them and are fetched on the instruction side, so
-// they share the I-stream's locality instead of polluting the data cache.
-func (s *System) Load(addr uint32, _ uint32) {
-	if addr < isa.DataBase {
-		s.I.Read(addr)
-		return
-	}
-	s.D.Read(addr)
-}
-
-// Store implements sim.Observer.
-func (s *System) Store(addr uint32, _ uint32) { s.D.Write(addr) }
 
 // Misses returns total misses over both caches.
 func (s *System) Misses() int64 { return s.I.Stats.Misses() + s.D.Stats.Misses() }

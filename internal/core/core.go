@@ -97,7 +97,9 @@ func (m *Measurement) CPI(busBytes uint32, waitStates int64) float64 {
 
 // ImmStats counts dynamic instructions whose immediate operands exceed
 // the D16 field limits (the paper's Table 4 classification), measured on
-// a DLXe execution.
+// a DLXe execution. The classification is a function of the instruction
+// alone, so a run folds it once per distinct executed instruction from
+// the machine's execution counts (sim.Machine.CountOps).
 type ImmStats struct {
 	Total    int64
 	CmpImm   int64 // compare-immediate instructions
@@ -108,40 +110,34 @@ type ImmStats struct {
 	FarCalls int64 // J-type calls/jumps (D16 uses a pool load + register jump)
 }
 
-// Exec implements sim.Observer.
-func (s *ImmStats) Exec(pc uint32, in isa.Instr) {
-	s.Total++
+// count folds n executions of in into the classification.
+func (s *ImmStats) count(in isa.Instr, n int64) {
+	s.Total += n
 	switch {
 	case in.Op == isa.CMP && in.HasImm:
-		s.CmpImm++
+		s.CmpImm += n
 		if in.Imm >= 0 && in.Imm <= 255 {
-			s.CmpImm8++
+			s.CmpImm8 += n
 		}
 	case in.Op == isa.MVI && (in.Imm < -256 || in.Imm > 255):
-		s.WideMVI++
+		s.WideMVI += n
 	case in.Op == isa.MVHI:
-		s.WideMVI++
+		s.WideMVI += n
 	case in.Op == isa.ANDI || in.Op == isa.ORI || in.Op == isa.XORI:
-		s.WideALU++
+		s.WideALU += n
 	case (in.Op == isa.ADDI || in.Op == isa.SUBI) && (in.Imm < 0 || in.Imm > 31):
-		s.WideALU++
+		s.WideALU += n
 	case in.Op.IsLoad() || in.Op.IsStore():
 		sub := in.Op != isa.LD && in.Op != isa.ST
 		if sub && in.Imm != 0 {
-			s.WideMem++
+			s.WideMem += n
 		} else if !sub && (in.Imm < 0 || in.Imm > 124) {
-			s.WideMem++
+			s.WideMem += n
 		}
 	case (in.Op == isa.J || in.Op == isa.JL) && in.HasImm:
-		s.FarCalls++
+		s.FarCalls += n
 	}
 }
-
-// Load implements sim.Observer.
-func (s *ImmStats) Load(addr uint32, size uint32) {}
-
-// Store implements sim.Observer.
-func (s *ImmStats) Store(addr uint32, size uint32) {}
 
 // Lab memoizes measurements across experiments and executes them
 // through a jobs.Scheduler, so the same harness serves three shapes of
@@ -406,8 +402,10 @@ func runKey(kind string, b *bench.Benchmark, spec *isa.Spec, o Observe, img *pro
 
 // execute is the job body of every request: it runs c once under a
 // kind-named span with o's observers attached in a fixed order (buses,
-// immediate classifier, caches, engines). It holds no lab locks:
-// concurrent runs of distinct points are the scheduler's normal mode.
+// one cache bank for every cache system, engines), with per-op
+// execution counts kept for the immediate classifier. It holds no lab
+// locks: concurrent runs of distinct points are the scheduler's normal
+// mode.
 func execute(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, o Observe) (*Measurement, error) {
 	attrs := []telemetry.Attr{telemetry.String("bench", b.Name), telemetry.String("config", spec.Name)}
 	span := telemetry.StartSpan(kind, attrs...)
@@ -434,15 +432,19 @@ func execute(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, o
 		machine.Attach(bus)
 	}
 	if o.Imm {
-		machine.Attach(&m.Imm)
+		machine.CountOps()
 	}
-	for _, cfg := range o.Caches {
-		sys, err := cache.NewSystem(cfg, cfg)
-		if err != nil {
-			return nil, err
+	var bank *cache.Bank
+	if len(o.Caches) > 0 {
+		for _, cfg := range o.Caches {
+			sys, err := cache.NewSystem(cfg, cfg)
+			if err != nil {
+				return nil, err
+			}
+			m.Caches = append(m.Caches, sys)
 		}
-		m.Caches = append(m.Caches, sys)
-		machine.Attach(sys)
+		bank = cache.NewBank(m.Caches)
+		machine.Attach(bank)
 	}
 	for _, ec := range o.Engines {
 		pc := pipeline.Config{BusBytes: ec.BusBytes, WaitStates: ec.WaitStates,
@@ -465,9 +467,15 @@ func execute(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, o
 	}
 	rspan := telemetry.StartSpan("run", attrs...)
 	err = machine.Run(b.MaxInstrs)
+	if bank != nil {
+		bank.Drain()
+	}
 	rspan.End()
 	if err != nil {
 		return nil, err
+	}
+	if o.Imm {
+		machine.EachOpCount(m.Imm.count)
 	}
 	m.Output = machine.Output.String()
 	m.Stats = machine.Stats

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/sim"
 )
 
 func TestMeasureMemoizes(t *testing.T) {
@@ -122,7 +123,7 @@ func TestPipelineRun(t *testing.T) {
 
 func TestImmStatsClassification(t *testing.T) {
 	var s ImmStats
-	exec := func(in isa.Instr) { s.Exec(0x1000, in) }
+	exec := func(in isa.Instr) { s.count(in, 1) }
 	exec(isa.Instr{Op: isa.CMP, Cond: isa.LT, Rd: isa.R(3), Rs1: isa.R(4), Imm: 100, HasImm: true})
 	exec(isa.Instr{Op: isa.CMP, Cond: isa.LT, Rd: isa.R(3), Rs1: isa.R(4), Imm: 1000, HasImm: true})
 	exec(isa.Instr{Op: isa.ADDI, Rd: isa.R(3), Rs1: isa.R(3), Imm: 7, HasImm: true})
@@ -148,5 +149,86 @@ func TestImmStatsClassification(t *testing.T) {
 	}
 	if s.WideMVI != 1 || s.FarCalls != 1 {
 		t.Errorf("mvi/farcall %d/%d, want 1/1", s.WideMVI, s.FarCalls)
+	}
+}
+
+// refMeasure is the interface-path reference for the standard
+// measurement: it sees every event through sim.MemObserver and counts
+// the 32- and 64-bit fetch-bus requests, the data requests and the
+// immediate classification one event at a time.
+type refMeasure struct {
+	buses [2]struct {
+		bytes, block uint32
+		have         bool
+		reqs         int64
+	}
+	dreqs int64
+	imm   ImmStats
+}
+
+func (r *refMeasure) Exec(pc uint32, in isa.Instr) {
+	for i := range r.buses {
+		b := &r.buses[i]
+		if blk := pc &^ (b.bytes - 1); !b.have || blk != b.block {
+			b.reqs++
+			b.block, b.have = blk, true
+		}
+	}
+	r.imm.count(in, 1)
+}
+
+func (r *refMeasure) Load(uint32, uint32)  { r.dreqs++ }
+func (r *refMeasure) Store(uint32, uint32) { r.dreqs++ }
+
+// TestMeasureMatchesReferenceObserver: on every image, the standard
+// measurement's bus models (driven directly by the machine, DRequests
+// derived from its data-op count) and its immediate classification
+// (folded from per-op execution counts) equal what an interface-attached
+// reference observer counts event by event. The comparison is
+// arithmetic, not concurrency, so a -race build checks only the -short
+// cross-section and keeps the package inside go test's default timeout.
+func TestMeasureMatchesReferenceObserver(t *testing.T) {
+	lab := NewLab()
+	suite := goldenSuite(t)
+	if raceEnabled {
+		suite = nil
+		for _, name := range []string{"queens", "towers", "bubblesort"} {
+			suite = append(suite, bench.ByName(name))
+		}
+	}
+	for _, b := range suite {
+		for _, spec := range Configs() {
+			c, err := lab.Compile(b, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(b.Name+"|"+spec.Name, func(t *testing.T) {
+				t.Parallel()
+				got, err := execute(measureKind, b, spec, c, standard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := sim.Acquire(c.Image)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Release(m)
+				ref := &refMeasure{}
+				ref.buses[0].bytes, ref.buses[1].bytes = 4, 8
+				m.Attach(ref)
+				if err := m.Run(b.MaxInstrs); err != nil {
+					t.Fatal(err)
+				}
+				for i, bus := range got.Buses {
+					if bus.IRequests != ref.buses[i].reqs || bus.DRequests != ref.dreqs {
+						t.Errorf("%d-byte bus: requests I=%d D=%d, reference I=%d D=%d",
+							bus.BusBytes, bus.IRequests, bus.DRequests, ref.buses[i].reqs, ref.dreqs)
+					}
+				}
+				if got.Imm != ref.imm {
+					t.Errorf("immediate classification %+v, reference %+v", got.Imm, ref.imm)
+				}
+			})
+		}
 	}
 }

@@ -9,7 +9,9 @@
 //
 // The model is trace-driven: attach it to a sim.Machine as an Observer,
 // run the program once, then evaluate Cycles for any wait-state value
-// (request counts do not depend on the latency).
+// (request counts do not depend on the latency). The machine calls Exec
+// directly for every fetch and, as every load or store is one request,
+// adds the run's data operations to DRequests when the run returns.
 package memsys
 
 import (
@@ -26,8 +28,8 @@ type NoCache struct {
 	// IRequests is the number of instruction fetch requests (bus-block
 	// granularity, buffer flushed implicitly by discontinuity).
 	IRequests int64
-	// DRequests is the number of data memory requests (each load/store is
-	// one request).
+	// DRequests is the number of data memory requests: each load or
+	// store is one, so it equals the run's sim Stats.DataOps.
 	DRequests int64
 
 	have    bool
@@ -53,12 +55,6 @@ func (n *NoCache) Exec(pc uint32, _ isa.Instr) {
 		n.have = true
 	}
 }
-
-// Load implements sim.Observer.
-func (n *NoCache) Load(addr uint32, size uint32) { n.DRequests++ }
-
-// Store implements sim.Observer.
-func (n *NoCache) Store(addr uint32, size uint32) { n.DRequests++ }
 
 // Requests returns total memory requests.
 func (n *NoCache) Requests() int64 { return n.IRequests + n.DRequests }

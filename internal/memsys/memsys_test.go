@@ -44,8 +44,7 @@ func TestCyclesFormula(t *testing.T) {
 	for pc := uint32(0x1000); pc < 0x1028; pc += 4 { // 10 DLXe instructions
 		n.Exec(pc, isa.Instr{})
 	}
-	n.Load(0x4000, 4)
-	n.Store(0x4004, 4)
+	n.DRequests = 2 // one load, one store
 	// IC=10, interlocks=3, wait=2: cycles = 10 + 3 + 2*(10+2) = 37.
 	if got := n.Cycles(10, 3, 2); got != 37 {
 		t.Errorf("cycles = %d, want 37", got)

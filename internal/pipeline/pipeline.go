@@ -62,7 +62,7 @@ type Config struct {
 	// buffer refills and data accesses probe the caches, hits cost no
 	// wait cycles, and misses cost MissPenalty bus cycles (replacing
 	// the flat WaitStates charge). Literal-pool loads probe the
-	// instruction cache, mirroring cache.System's routing.
+	// instruction cache, mirroring cache.Bank's routing.
 	Caches *cache.System
 	// MissPenalty is the per-miss wait in cycles when Caches is set.
 	MissPenalty int64

@@ -36,9 +36,10 @@
 // observer notifications) must not allocate: TestRunDoesNotAllocate
 // asserts zero steady-state allocations, and TestRunEngineAllocBudget
 // holds the pooled production path under an allocs-per-instruction
-// ceiling. When exactly one pipeline.Engine is attached, Run calls it
-// directly (devirtualized); any other observer mix takes the interface
-// slice path.
+// ceiling. Run calls pipeline.Engine and memsys.NoCache observers
+// directly (a lone engine fully devirtualized) and keeps per-op
+// execution counts in place of a classifying observer (CountOps); only
+// observers of other types take the interface slice path.
 package sim
 
 import (
@@ -50,6 +51,7 @@ import (
 
 	"repro/internal/decode"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/telemetry"
@@ -72,12 +74,18 @@ type Stats struct {
 // DataOps returns total loads + stores (the paper's MemOps).
 func (s *Stats) DataOps() int64 { return s.Loads + s.Stores }
 
-// Observer receives execution events for trace-driven timing models. All
-// methods are called in program order.
+// Observer receives execution events for trace-driven timing models, in
+// program order.
 type Observer interface {
 	// Exec is called for every executed instruction with its address.
 	Exec(pc uint32, in isa.Instr)
-	// Load/Store are called for data accesses (size in bytes).
+}
+
+// MemObserver is an Observer that also sees data accesses. Run calls
+// Load/Store (size in bytes) during an instruction's execution, before
+// the instruction's own Exec.
+type MemObserver interface {
+	Observer
 	Load(addr uint32, size uint32)
 	Store(addr uint32, size uint32)
 }
@@ -120,7 +128,11 @@ type Machine struct {
 	obs       []Observer
 	eng       *pipeline.Engine   // devirtualized path when it is the only observer
 	engs      []*pipeline.Engine // attached engines, driven via ExecOp (no Synth)
-	others    []Observer         // non-engine observers, driven via the interface
+	buses     []*memsys.NoCache  // attached fetch-buffer models, called directly
+	others    []Observer         // other observers, driven via the interface
+	mems      []MemObserver      // of others, those that see data accesses
+	counts    []int64            // per-op execution counts when CountOps enabled them
+	countBuf  []int64            // storage behind counts, kept across pooled reuse
 	itrace    *telemetry.Ring[TraceEntry]
 	t         int64 // issue cycle counter for the scoreboard
 	ready     [64]int64
@@ -200,20 +212,7 @@ func (m *Machine) Reset(img *prog.Image) error {
 	m.Output.Reset()
 	m.Stats = Stats{}
 	m.TraceW = nil
-	for i := range m.obs {
-		m.obs[i] = nil
-	}
-	m.obs = m.obs[:0]
-	for i := range m.engs {
-		m.engs[i] = nil
-	}
-	m.engs = m.engs[:0]
-	for i := range m.others {
-		m.others[i] = nil
-	}
-	m.others = m.others[:0]
-	m.eng = nil
-	m.itrace = nil
+	m.detach()
 	m.t = 0
 	m.ready = [64]int64{}
 	m.fpsrReady = 0
@@ -221,24 +220,73 @@ func (m *Machine) Reset(img *prog.Image) error {
 	return nil
 }
 
-// Attach adds a timing-model observer. pipeline.Engine observers are
-// recognized by type once here and driven through direct ExecOp calls
-// in the run loop — a single attached engine gets the fully
-// devirtualized fast path, and additional engines (multi-bus profiling
+// detach drops every observer reference, the op counts and the trace
+// ring, keeping the slices' storage for the next tenancy.
+func (m *Machine) detach() {
+	clear(m.obs)
+	m.obs = m.obs[:0]
+	clear(m.engs)
+	m.engs = m.engs[:0]
+	clear(m.buses)
+	m.buses = m.buses[:0]
+	clear(m.others)
+	m.others = m.others[:0]
+	clear(m.mems)
+	m.mems = m.mems[:0]
+	m.eng = nil
+	m.counts = nil
+	m.itrace = nil
+}
+
+// Attach adds a timing-model observer. pipeline.Engine and
+// memsys.NoCache observers are recognized by type once here and called
+// directly from the run loop. A single attached engine gets the fully
+// devirtualized fast path; additional engines (multi-bus profiling
 // attaches up to eight) still skip the interface dispatch and the
-// per-instruction metadata synthesis. Only observers of other types go
-// through the generic Exec interface.
+// per-instruction metadata synthesis. A NoCache sees only fetches: its
+// DRequests is the run's Loads+Stores, added when Run returns. Only
+// observers of other types go through the Observer interface, and
+// through MemObserver's data events when they implement it.
 func (m *Machine) Attach(o Observer) {
 	m.obs = append(m.obs, o)
-	if e, ok := o.(*pipeline.Engine); ok {
-		m.engs = append(m.engs, e)
-	} else {
+	switch o := o.(type) {
+	case *pipeline.Engine:
+		m.engs = append(m.engs, o)
+	case *memsys.NoCache:
+		m.buses = append(m.buses, o)
+	default:
 		m.others = append(m.others, o)
+		if mo, ok := o.(MemObserver); ok {
+			m.mems = append(m.mems, mo)
+		}
 	}
 	if len(m.obs) == 1 && len(m.engs) == 1 {
 		m.eng = m.engs[0]
 	} else {
 		m.eng = nil
+	}
+}
+
+// CountOps makes Run count the executions of every text-segment
+// instruction (read back with EachOpCount). The counts start at zero
+// and live in the machine's own storage, reused across pooled runs.
+func (m *Machine) CountOps() {
+	n := len(m.dec.Ops)
+	if cap(m.countBuf) < n {
+		m.countBuf = make([]int64, n)
+	}
+	m.counts = m.countBuf[:n]
+	clear(m.counts)
+}
+
+// EachOpCount calls fn, in address order, for every instruction that
+// executed since CountOps, with its execution count. Like an observer's
+// Exec, the count omits a faulting instruction.
+func (m *Machine) EachOpCount(fn func(in isa.Instr, n int64)) {
+	for i, n := range m.counts {
+		if n != 0 {
+			fn(m.dec.Ops[i].In, n)
+		}
 	}
 }
 
@@ -311,6 +359,8 @@ func (m *Machine) Run(maxInstrs int64) error {
 	// per-instruction re-derivation from the decoded form is gone.
 	instrs, nops, fetchWords, interlocks := m.Stats.Instrs, m.Stats.Nops, m.Stats.FetchWords, m.Stats.Interlocks
 	t, lastWord, fpsrReady := m.t, m.lastWord, m.fpsrReady
+	counts := m.counts
+	dataOps := m.Stats.DataOps()
 	var runErr error
 
 	for !m.halted {
@@ -390,9 +440,15 @@ func (m *Machine) Run(maxInstrs int64) error {
 			for _, e := range m.engs {
 				e.ExecOp(pc, op)
 			}
+			for _, b := range m.buses {
+				b.Exec(pc, op.In)
+			}
 			for _, o := range m.others {
 				o.Exec(pc, op.In)
 			}
+		}
+		if counts != nil {
+			counts[i]++
 		}
 		if taken {
 			pc, npc = npc, target
@@ -402,6 +458,12 @@ func (m *Machine) Run(maxInstrs int64) error {
 	}
 	m.Stats.Instrs, m.Stats.Nops, m.Stats.FetchWords, m.Stats.Interlocks = instrs, nops, fetchWords, interlocks
 	m.t, m.lastWord, m.fpsrReady = t, lastWord, fpsrReady
+	if len(m.buses) > 0 {
+		d := m.Stats.DataOps() - dataOps
+		for _, b := range m.buses {
+			b.DRequests += d
+		}
+	}
 	if runErr == nil {
 		m.PC = pc
 	}
@@ -489,7 +551,7 @@ func (m *Machine) notifyLoad(addr, size uint32) {
 	for _, e := range m.engs {
 		e.Load(addr, size)
 	}
-	for _, o := range m.others {
+	for _, o := range m.mems {
 		o.Load(addr, size)
 	}
 }
@@ -508,7 +570,7 @@ func (m *Machine) notifyStore(addr, size uint32) {
 	for _, e := range m.engs {
 		e.Store(addr, size)
 	}
-	for _, o := range m.others {
+	for _, o := range m.mems {
 		o.Store(addr, size)
 	}
 }

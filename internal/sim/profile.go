@@ -126,12 +126,6 @@ func (p *Profile) rekey() {
 	p.curKey = b.String()
 }
 
-// Load implements Observer.
-func (p *Profile) Load(addr uint32, size uint32) {}
-
-// Store implements Observer.
-func (p *Profile) Store(addr uint32, size uint32) {}
-
 // Entry is one profile row.
 type Entry struct {
 	Name    string

@@ -50,10 +50,10 @@ type loopInfo struct {
 	body     map[int]bool
 	bodyList []int // body block indices, ascending
 	backs    []int // back-edge source block indices, ascending
-	bound int64 // max header executions per loop entry; ⊤ = -1
-	cap   int64 // max header executions per function invocation; memoized
-	done  bool  // cap computed
-	onCap bool  // cap computation in progress (cycle guard)
+	bound    int64 // max header executions per loop entry; ⊤ = -1
+	cap      int64 // max header executions per function invocation; memoized
+	done     bool  // cap computed
+	onCap    bool  // cap computation in progress (cycle guard)
 }
 
 func (a *analysis) diag(pc uint32, kind, msg string) {

@@ -44,8 +44,8 @@ type Block struct {
 type FuncCFG struct {
 	Name   string
 	Entry  uint32
-	End    uint32 // first address past the function
-	Blocks []*Block // address order
+	End    uint32         // first address past the function
+	Blocks []*Block       // address order
 	Index  map[uint32]int // block start -> Blocks index
 }
 
@@ -61,7 +61,7 @@ func (f *FuncCFG) BlockAt(addr uint32) *Block {
 type CFG struct {
 	Config  string
 	Enc     string
-	Entry   uint32 // image entry address
+	Entry   uint32     // image entry address
 	Funcs   []*FuncCFG // address order
 	ByEntry map[uint32]*FuncCFG
 }
